@@ -157,60 +157,52 @@ def run_partitioned_lane(args, partition_counts):
 
     For each partition count: build the bench as N sub-kernels, drive
     it through the conservative window protocol, and fingerprint the
-    merged ``RunResult`` against the serial kernel's.  The gate is
-    ``outputs_identical`` — bit-identity, never wall-clock.
+    ``RunResult`` against the serial kernel's.  A count of 1 runs the
+    plain kernel (no windows).  The gate is ``outputs_identical`` —
+    bit-identity, never wall-clock.
     """
     from repro.exec.spec import result_fingerprint  # noqa: E402
     from repro.measure.simbackend import (  # noqa: E402
         _drive_single_server,
-        build_single_partitioned,
-        merge_single_partials,
+        build_single_server,
+        single_server_result,
     )
-    from repro.sim.partition import (  # noqa: E402
-        collect_partial,
-        drive_partitioned,
-    )
+    from repro.sim.engine import gc_paused  # noqa: E402
 
     spec = bench_run_spec(args)
-    serial = _drive_single_server(spec)
-    reference = result_fingerprint(serial)
+    reference = result_fingerprint(_drive_single_server(spec))
     lanes = []
     all_identical = True
     for n in partition_counts:
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
+        sharded = spec.replace(partitions=n)
         t0 = time.perf_counter()
-        try:
-            build = build_single_partitioned(spec, n)
-            stats = drive_partitioned(build)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        with gc_paused():
+            bench, instances = build_single_server(sharded)
+            stats = bench.run_to_completion(instances)
         wall_s = time.perf_counter() - t0
-        partials = [collect_partial(build, s) for s in range(n)]
-        result = merge_single_partials(spec, partials, wall_s)
+        result = single_server_result(sharded, bench, instances, wall_s)
         identical = result_fingerprint(result) == reference
         all_identical = all_identical and identical
-        boundary_fraction = (
-            stats.boundary_events / stats.executed if stats.executed else 0.0
-        )
+        windows = stats.windows if stats is not None else 0
+        boundary_events = stats.boundary_events if stats is not None else 0
+        events = result.events_processed
+        boundary_fraction = boundary_events / events if events else 0.0
         lanes.append(
             {
                 "partitions": n,
                 "wall_s": round(wall_s, 3),
-                "events": stats.executed,
-                "events_per_s": round(stats.executed / wall_s, 1),
-                "windows": stats.windows,
-                "boundary_events": stats.boundary_events,
+                "events": events,
+                "events_per_s": round(events / wall_s, 1),
+                "windows": windows,
+                "boundary_events": boundary_events,
                 "boundary_event_fraction": round(boundary_fraction, 6),
                 "outputs_identical": identical,
             }
         )
         print(
             f"[bench_sim] partitioned n={n}: "
-            f"{stats.executed / wall_s:,.0f} events/s over "
-            f"{stats.windows:,} windows "
+            f"{events / wall_s:,.0f} events/s over "
+            f"{windows:,} windows "
             f"({boundary_fraction:.2%} boundary events), "
             f"outputs_identical={identical}"
         )
@@ -306,8 +298,8 @@ def main() -> int:
         "rng_batch_hit_rate": round(hit_rate, 6),
         "rng_draws": draws,
         "rng_block_refills": refills,
-        #: Wall-clock speedup from the multi-process mode only means
-        #: anything with real cores; the identity gate holds anywhere.
+        #: Host provenance for the executor lanes: wall-clock speed-ups
+        #: only mean anything with real cores.
         "parallel_meaningful": parallel_meaningful(),
         "partitioned": lanes,
         #: The acceptance gate: every partition count reproduced the

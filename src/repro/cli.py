@@ -375,19 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "sim backend: shard each measurement across N sub-kernels "
-            "(bit-identical to serial by construction; overrides the "
-            "compiler's rack-topology default, 0 forces serial)"
-        ),
-    )
-    scen_run_p.add_argument(
-        "--partition-mode",
-        choices=("inproc", "process"),
-        default=None,
-        metavar="MODE",
-        help=(
-            "how partitioned measurements execute: inproc sub-kernels "
-            "(default) or one worker process per shard"
+            "sim backend: shard each measurement across N in-process "
+            "sub-kernels (bit-identical to serial by construction; "
+            "overrides the compiler's rack-topology default, 0 or 1 "
+            "runs the serial kernel)"
         ),
     )
     add_exec_flags(scen_run_p)
@@ -464,21 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument(
         "--processes", type=int, default=3, metavar="N",
         help="--live: client processes in the fleet",
-    )
-    chaos_p.add_argument(
-        "--partition",
-        action="store_true",
-        help=(
-            "chaos the partitioned simulation instead: drop/duplicate "
-            "window-boundary frames between the coordinator and its "
-            "shard workers (partition_desync); the invariant is "
-            "bit-identical to serial or a clean SimulationError, "
-            "never a hang"
-        ),
-    )
-    chaos_p.add_argument(
-        "--partitions", type=int, default=2, metavar="N",
-        help="--partition: shard worker processes (default: 2)",
     )
     return parser
 
@@ -738,10 +714,6 @@ def _cmd_scenario_run(scenario, args: argparse.Namespace) -> int:
         # kernel, N shards each measurement across N sub-kernels.
         n = args.partitions if args.partitions > 0 else None
         specs = [s.replace(partitions=n) for s in specs]
-    if getattr(args, "partition_mode", None):
-        from .measure import set_backend_defaults
-
-        set_backend_defaults("sim", partition_mode=args.partition_mode)
     print(
         f"[scenario {scenario.name}] {len(scenario.fleets)} fleet(s) x "
         f"{len(scenario.pools)} pool(s) -> {len(specs)} run spec(s)"
@@ -892,13 +864,7 @@ def _execution_scope(args: argparse.Namespace):
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as _json
 
-    if getattr(args, "partition", False):
-        from .faults.harness import run_partition_chaos  # local import
-
-        report = run_partition_chaos(
-            seed=args.seed, partitions=args.partitions
-        )
-    elif args.live:
+    if args.live:
         from .faults.harness import run_live_chaos  # local import: chaos only
 
         report = run_live_chaos(seed=args.seed, processes=args.processes)

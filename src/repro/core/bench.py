@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional
 from ..sim.engine import Simulator
 from ..sim.machine import ClientMachine, ClientSpec, HardwareSpec, ServerMachine
 from ..sim.network import LinkConfig, SpineConfig, Topology
+from ..sim.partition import drive_partitioned
 from ..sim.rng import RngRegistry
 from ..sim.tcpdump import PacketCapture
 from ..workloads.base import Request, Workload
@@ -218,6 +219,24 @@ class TestBench:
         """
         drive_until(self.sim, predicate, check_every)
 
-    def run_to_completion(self, instances) -> None:
-        """Run until every instance reports done, then drain in-flight work."""
+    def run_to_completion(self, instances):
+        """Run until every instance reports done, then drain in-flight work.
+
+        A partitioned bench advances its sub-kernels in conservative
+        windows instead and returns the window
+        :class:`~repro.sim.partition.CoordinatorStats`; the serial
+        kernel returns ``None``.
+        """
+        if self._partition is not None:
+            return drive_partitioned(
+                self._partition, instances, (), self.topology.lookahead_us()
+            )
         drive_to_completion(self.sim, instances)
+        return None
+
+    @property
+    def events_processed(self) -> int:
+        """Events executed so far, summed over sub-kernels when sharded."""
+        if self._partition is not None:
+            return self._partition.events_processed
+        return self.sim.events_processed

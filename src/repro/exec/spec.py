@@ -200,13 +200,14 @@ class RunSpec:
     #: backends (e.g. ``"live"``) digest in: a wall-clock measurement
     #: and a simulation of the same knobs are different experiments.
     backend: str = "sim"
-    #: Shard the simulation across this many sub-kernels advancing in
-    #: conservative time windows (:mod:`repro.sim.partition`).  Every
-    #: count — including 1 — is pinned bit-identical to the serial
-    #: kernel (None), so this knob is a *how*, never a *what*: it is
-    #: excluded from the content digest entirely, and cached results
-    #: are shared across partition counts.  The scenario compiler
-    #: auto-fills it from the rack topology when left None.
+    #: Shard the simulation across this many in-process sub-kernels
+    #: advancing in conservative time windows (:mod:`repro.sim.partition`);
+    #: None and 1 run the plain serial kernel.  Every count is pinned
+    #: bit-identical to the serial kernel, so this knob is a *how*,
+    #: never a *what*: it is excluded from the content digest
+    #: entirely, and cached results are shared across partition
+    #: counts.  The scenario compiler auto-fills it from the rack
+    #: topology when left None.
     partitions: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -359,7 +360,7 @@ def result_fingerprint(result: RunResult) -> str:
     trailing request total, ``events_processed`` — participates, so
     two fingerprints are equal iff the runs are bit-identical.  This
     is the comparator behind the serial-vs-partitioned identity gates
-    (tests, ``bench_sim`` ``outputs_identical``, partition chaos).
+    (tests and ``bench_sim`` ``outputs_identical``).
 
     Pickled with memoization disabled: the default memo encodes the
     object-*sharing* topology (which strings alias which), and that is

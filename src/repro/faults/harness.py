@@ -57,8 +57,6 @@ __all__ = [
     "run_chaos",
     "LiveChaosReport",
     "run_live_chaos",
-    "PartitionChaosReport",
-    "run_partition_chaos",
 ]
 
 
@@ -466,153 +464,6 @@ def run_live_chaos(
             report.unexpected = str(box.get("unexpected", "no outcome recorded"))
     finally:
         server.stop()
-    report.fired = list(injector.fired)
-    report.wall_s = time.perf_counter() - t0
-    return report
-
-
-# ----------------------------------------------------------------------
-# partitioned-simulation chaos
-# ----------------------------------------------------------------------
-@dataclass
-class PartitionChaosReport:
-    """Outcome of one seeded *partitioned-simulation* chaos run.
-
-    **The partition chaos invariant**:
-
-        Under any ``partition_desync`` plan (window-boundary frames
-        dropped or duplicated between the coordinator and its shard
-        workers), a partitioned run either produces a result
-        *bit-identical* to the serial kernel or fails with a clean
-        :class:`~repro.sim.engine.SimulationError` within the deadline.
-        Never a hang, and never a silently divergent result.
-    """
-
-    seed: int
-    partitions: int
-    plan_digest: str
-    kinds: Tuple[str, ...]
-    #: Fingerprint of the serial reference run.
-    reference_fingerprint: str = ""
-    identical: bool = False
-    clean_failure: Optional[str] = None
-    unexpected: Optional[str] = None
-    hang: bool = False
-    fired: List[Tuple[str, int, str]] = field(default_factory=list)
-    wall_s: float = 0.0
-
-    @property
-    def invariant_holds(self) -> bool:
-        """Bit-identical or clean SimulationError — never a hang."""
-        if self.hang or self.unexpected is not None:
-            return False
-        return self.identical or self.clean_failure is not None
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "partitions": self.partitions,
-            "plan": self.plan_digest[:12],
-            "kinds": list(self.kinds),
-            "identical": self.identical,
-            "clean_failure": self.clean_failure,
-            "unexpected": self.unexpected,
-            "hang": self.hang,
-            "fired": [list(f) for f in self.fired],
-            "wall_s": round(self.wall_s, 3),
-            "invariant_holds": self.invariant_holds,
-        }
-
-
-def run_partition_chaos(
-    seed: int,
-    partitions: int = 2,
-    samples_per_instance: int = 120,
-    plan: Optional[FaultPlan] = None,
-    deadline_s: float = 120.0,
-    window_timeout_s: float = 8.0,
-) -> PartitionChaosReport:
-    """Run one seeded partitioned-simulation chaos experiment.
-
-    Measures a small single-server spec serially (the reference
-    fingerprint), then re-measures it sharded across ``partitions``
-    worker processes with a ``partition_desync`` injector wired into
-    the coordinator's frame sender.  ``plan=None`` draws a seeded
-    all-``partition_desync`` plan whose ``nth`` values cover both the
-    drop (odd) and duplicate (even) arms.
-
-    The partitioned run executes on a watchdog thread: if it neither
-    returns nor raises within ``deadline_s`` it is recorded as a
-    *hang* — the outcome the invariant forbids.  A dropped frame is
-    converted into a clean failure by the coordinator's per-window
-    receive deadline (``window_timeout_s``), so the harness never
-    relies on the watchdog for the expected cases.
-    """
-    import threading
-
-    from ..exec.spec import RunSpec, result_fingerprint
-    from ..measure.simbackend import (
-        _drive_single_server,
-        merge_single_partials,
-    )
-    from ..measure.partitionproc import run_partitioned_process
-    from ..sim.engine import SimulationError
-    from ..workloads import MemcachedWorkload
-
-    t0 = time.perf_counter()
-    if plan is None:
-        plan = FaultPlan.generate(
-            seed, n_faults=2, kinds=["partition_desync"], max_nth=4
-        )
-    injector = plan.injector()
-    report = PartitionChaosReport(
-        seed=seed,
-        partitions=partitions,
-        plan_digest=plan.digest(),
-        kinds=plan.kinds(),
-    )
-    spec = RunSpec(
-        workload=MemcachedWorkload(),
-        total_rate_rps=20_000.0,
-        num_instances=2,
-        connections_per_instance=2,
-        warmup_samples=20,
-        measurement_samples_per_instance=samples_per_instance,
-        keep_raw=True,
-        seed=seed,
-        tag=f"partition-chaos seed={seed}",
-    )
-    report.reference_fingerprint = result_fingerprint(_drive_single_server(spec))
-    box: Dict[str, object] = {}
-
-    def _measure() -> None:
-        try:
-            box["result"] = run_partitioned_process(
-                spec,
-                partitions,
-                builder_ref="repro.measure.simbackend:build_single_partitioned",
-                merge=merge_single_partials,
-                fault=injector,
-                window_timeout_s=window_timeout_s,
-            )
-        except SimulationError as exc:
-            box["clean"] = f"{type(exc).__name__}: {exc}"
-        except BaseException as exc:  # noqa: BLE001 — the invariant's evidence
-            box["unexpected"] = f"{type(exc).__name__}: {exc}"
-
-    thread = threading.Thread(target=_measure, daemon=True)
-    thread.start()
-    thread.join(deadline_s)
-    if thread.is_alive():
-        report.hang = True
-    elif "result" in box:
-        report.identical = (
-            result_fingerprint(box["result"]) == report.reference_fingerprint
-        )
-    elif "clean" in box:
-        report.clean_failure = str(box["clean"])
-    else:
-        report.unexpected = str(box.get("unexpected", "no outcome recorded"))
     report.fired = list(injector.fired)
     report.wall_s = time.perf_counter() - t0
     return report

@@ -91,11 +91,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     "corrupt_result",
     "corrupt_cache_entry",
     "coordinator_restart",
-    # Partitioned-simulation window frames: odd ``nth`` drops the
-    # boundary frame (the coordinator's receive deadline turns the
-    # stall into a clean SimulationError), even ``nth`` duplicates it
-    # (the worker detects the window-sequence desync and refuses).
-    "partition_desync",
 ) + LIVE_FAULT_KINDS
 
 #: Hook sites each kind may be scheduled at (the RNG picks one).
@@ -108,7 +103,6 @@ KIND_SITES: Dict[str, Tuple[str, ...]] = {
     "truncate_frame": ("coordinator.send", "worker.send"),
     "corrupt_cache_entry": ("cache.put",),
     "coordinator_restart": ("coordinator.loop",),
-    "partition_desync": ("partition.frame",),
     "client_proc_crash": ("fleet.spawn",),
     "client_proc_hang": ("fleet.spawn",),
     "fleet_frame_drop": ("fleet.heartbeat",),
@@ -174,12 +168,10 @@ class FaultPlan:
         driver — the chaos harness adds it deliberately.  The live
         kinds are likewise excluded: they target a different harness,
         :meth:`generate_live`, and admitting them here would reshuffle
-        every historical seeded plan.  ``partition_desync`` is excluded
-        for the same reason — it targets the partitioned-simulation
-        harness (``run_partition_chaos``), which passes it explicitly).
+        every historical seeded plan).
         """
         rng = random.Random(seed)
-        excluded = {"coordinator_restart", "partition_desync", *LIVE_FAULT_KINDS}
+        excluded = {"coordinator_restart", *LIVE_FAULT_KINDS}
         palette = list(kinds if kinds is not None else
                        [k for k in FAULT_KINDS if k not in excluded])
         actions: List[FaultAction] = []

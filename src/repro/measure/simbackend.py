@@ -14,13 +14,14 @@ serial-vs-parallel identity gates.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass
 
 from ..core.aggregation import aggregate_quantile
 from ..core.bench import BenchConfig, TestBench
 from ..core.treadmill import TreadmillConfig, TreadmillInstance
+from ..sim.engine import gc_paused
+from ..sim.partition import partition_for
 from .api import BenchCapabilities, register_measurement_backend
 
 __all__ = ["SimOptions", "SimBackend"]
@@ -28,21 +29,14 @@ __all__ = ["SimOptions", "SimBackend"]
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Options for the simulator backend.
+    """Options for the simulator backend (none today).
 
     Everything that influences a simulated *result* must live in the
     :class:`~repro.exec.spec.RunSpec` content digest, or equal specs
     would stop implying equal results and the cache contract would
-    break.  ``partition_mode`` qualifies as environment-only precisely
-    because both modes are pinned bit-identical to the serial kernel:
-    it changes how the answer is computed, never the answer.
+    break; the class exists so the backend registry sees the same
+    options contract for every backend.
     """
-
-    #: How ``RunSpec.partitions`` executes: ``"inproc"`` (windowed
-    #: sub-kernels in this process, the correctness reference) or
-    #: ``"process"`` (one worker process per shard over the frame
-    #: protocol).  Ignored when the spec requests no partitioning.
-    partition_mode: str = "inproc"
 
 
 class _SimRun:
@@ -57,13 +51,7 @@ class _SimRun:
         if spec.scenario is not None:
             from ..scenarios.runtime import _execute_scenario_spec
 
-            return _execute_scenario_spec(
-                spec, partition_mode=self.options.partition_mode
-            )
-        if spec.partitions is not None:
-            return _drive_single_partitioned(
-                spec, spec.partitions, self.options.partition_mode
-            )
+            return _execute_scenario_spec(spec)
         return _drive_single_server(spec)
 
 
@@ -93,18 +81,21 @@ class SimBackend:
         return None
 
 
-def _drive_single_server(spec):
-    """The legacy single-server body: boot, load, measure, report.
+def build_single_server(spec):
+    """Boot the bench and start every Treadmill instance of ``spec``.
 
-    Pure function of ``spec``: same spec, same result, in any process
-    (the serial-vs-parallel determinism guarantee rests here).
+    ``spec.partitions > 1`` shards the bench across sub-kernels: the
+    server and clients share one rack, so the split is within-rack
+    (:func:`repro.sim.partition.assign_shards`).  Returns
+    ``(bench, instances)`` ready for ``bench.run_to_completion``.
     """
-    from ..exec.spec import RunResult, metric_samples
-
-    t0 = time.perf_counter()
+    config = BenchConfig(workload=spec.workload, hardware=spec.hardware, seed=spec.seed)
+    hosts = [(config.server_name, config.server_rack)]
+    hosts += [(f"client{i}", config.server_rack) for i in range(spec.num_instances)]
     bench = TestBench(
-        BenchConfig(workload=spec.workload, hardware=spec.hardware, seed=spec.seed),
+        config,
         run_index=spec.run_index,
+        partition=partition_for(hosts, spec.partitions),
     )
     if spec.total_rate_rps is not None:
         total_rate = spec.total_rate_rps
@@ -124,40 +115,14 @@ def _drive_single_server(spec):
         instances.append(TreadmillInstance(bench, f"client{i}", tm_cfg))
     for inst in instances:
         inst.start()
-    # The event loop allocates no reference cycles; cyclic-GC passes in
-    # the middle of a run are pure overhead.  Restore the collector's
-    # prior state even on error.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        bench.run_to_completion(instances)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    reports = [inst.report() for inst in instances]
-    return _finish_single(
-        spec,
-        reports,
-        server_utilization=bench.server.measured_utilization(),
-        client_utilizations={
-            name: client.utilization() for name, client in bench.clients.items()
-        },
-        events_processed=bench.sim.events_processed,
-        wall_s=time.perf_counter() - t0,
-    )
+    return bench, instances
 
 
-def _finish_single(
-    spec, reports, *, server_utilization, client_utilizations,
-    events_processed, wall_s,
-):
-    """Metric aggregation + RunResult assembly shared by the serial
-    and partitioned single-server paths (one assembly, one byte
-    layout)."""
+def single_server_result(spec, bench, instances, wall_s: float):
+    """Aggregate a finished single-server bench into its RunResult."""
     from ..exec.spec import RunResult, metric_samples
 
+    reports = [inst.report() for inst in instances]
     samples_by_client = {r.name: metric_samples(r) for r in reports}
     metrics = {
         q: aggregate_quantile(samples_by_client, q, combine=spec.combine)
@@ -167,127 +132,28 @@ def _finish_single(
         run_index=spec.run_index,
         reports=reports,
         metrics=metrics,
-        server_utilization=server_utilization,
-        client_utilizations=client_utilizations,
+        server_utilization=bench.server.measured_utilization(),
+        client_utilizations={
+            name: client.utilization() for name, client in bench.clients.items()
+        },
         spec_digest=spec.digest(),
         wall_s=wall_s,
-        events_processed=events_processed,
+        events_processed=bench.events_processed,
     )
 
 
-# ----------------------------------------------------------------------
-# partitioned execution (sharded sub-kernels, bit-identical to serial)
-# ----------------------------------------------------------------------
-def build_single_partitioned(spec, n_shards: int):
-    """Build the single-server bench sharded across ``n_shards``.
+def _drive_single_server(spec):
+    """The single-server body: boot, load, measure, report.
 
-    Pure function of ``(spec, n_shards)``; every worker process calls
-    this identically and executes only its own shard.  The single
-    server keeps shard 0; clients round-robin over the remaining
-    shards (one rack, so the split is within-rack).
+    Pure function of ``spec``: same spec, same result, in any process
+    (the serial-vs-parallel determinism guarantee rests here), and at
+    any ``spec.partitions``.
     """
-    from ..sim.partition import PartitionedBuild, PartitionedSimulator, assign_shards
-
-    config = BenchConfig(
-        workload=spec.workload, hardware=spec.hardware, seed=spec.seed
-    )
-    hosts = [(config.server_name, config.server_rack)]
-    hosts += [(f"client{i}", config.server_rack) for i in range(spec.num_instances)]
-    partition = PartitionedSimulator(n_shards)
-    partition.assign(assign_shards(hosts, n_shards))
-    bench = TestBench(config, run_index=spec.run_index, partition=partition)
-    if spec.total_rate_rps is not None:
-        total_rate = spec.total_rate_rps
-    else:
-        per_us = bench.server.arrival_rate_for_utilization(spec.target_utilization)
-        total_rate = per_us * 1e6
-    rate_per_instance = total_rate / spec.num_instances
-    instances = []
-    for i in range(spec.num_instances):
-        tm_cfg = TreadmillConfig(
-            rate_rps=rate_per_instance,
-            connections=spec.connections_per_instance,
-            warmup_samples=spec.warmup_samples,
-            measurement_samples=spec.measurement_samples_per_instance,
-            keep_raw=spec.keep_raw,
-        )
-        instances.append(TreadmillInstance(bench, f"client{i}", tm_cfg))
-    instance_shards = {}
-    for inst in instances:
-        shard = partition.shard_of(inst.name)
-        instance_shards[inst.name] = shard
-        inst.on_done = partition.completion_recorder(shard)
-        inst.start()
-    return PartitionedBuild(
-        partition=partition,
-        bench=bench,
-        instances=instances,
-        antagonists=[],
-        instance_shards=instance_shards,
-        servers=[
-            (
-                partition.shard_of(config.server_name),
-                config.server_name,
-                bench.server,
-            )
-        ],
-        lookahead=bench.topology.lookahead_us(),
-    )
-
-
-def merge_single_partials(spec, partials, wall_s: float):
-    """Merge per-shard partial results into the single-server RunResult.
-
-    Used by both execution modes — the in-process reference collects
-    the same partial dicts locally that workers ship over the wire —
-    so there is exactly one merge path to pin bit-identical.
-    """
-    reports_by = {}
-    client_utils_by = {}
-    server_utils_by = {}
-    events = 0
-    for partial in partials:
-        reports_by.update(partial["reports"])
-        client_utils_by.update(partial["client_utils"])
-        server_utils_by.update(partial["server_utils"])
-        events += partial["events"]
-    names = [f"client{i}" for i in range(spec.num_instances)]
-    return _finish_single(
-        spec,
-        [reports_by[name] for name in names],
-        server_utilization=server_utils_by[next(iter(server_utils_by))],
-        client_utilizations={name: client_utils_by[name] for name in names},
-        events_processed=events,
-        wall_s=wall_s,
-    )
-
-
-def _drive_single_partitioned(spec, n_shards: int, mode: str):
-    from ..sim.partition import collect_partial, drive_partitioned
-
-    if mode == "process":
-        from .partitionproc import run_partitioned_process
-
-        return run_partitioned_process(
-            spec,
-            n_shards,
-            builder_ref="repro.measure.simbackend:build_single_partitioned",
-            merge=merge_single_partials,
-        )
-    if mode != "inproc":
-        raise ValueError(f"unknown partition_mode {mode!r}")
     t0 = time.perf_counter()
-    build = build_single_partitioned(spec, n_shards)
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        drive_partitioned(build)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    partials = [collect_partial(build, s) for s in range(n_shards)]
-    return merge_single_partials(spec, partials, time.perf_counter() - t0)
+    bench, instances = build_single_server(spec)
+    with gc_paused():
+        bench.run_to_completion(instances)
+    return single_server_result(spec, bench, instances, time.perf_counter() - t0)
 
 
 register_measurement_backend(

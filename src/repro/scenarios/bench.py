@@ -33,6 +33,7 @@ from ..sim.machine import (
     ServerMachine,
 )
 from ..sim.network import LinkConfig, SpineConfig, Topology
+from ..sim.partition import drive_partitioned
 from ..sim.rng import RngRegistry
 from ..sim.tcpdump import PacketCapture
 from ..workloads.base import Request
@@ -256,9 +257,9 @@ class ScenarioBench:
         self._routes: Dict[int, object] = {}
         # Deterministic antagonist shutdown: when the final instance
         # completes at T_done, every antagonist gets a stop event at
-        # T_done + lookahead.  Same rule the partitioned coordinator
-        # applies at its window barriers, so both modes silence
-        # background load at the identical virtual instant.
+        # T_done + lookahead.  Same rule the partitioned window loop
+        # applies at its barriers, so both kernels silence background
+        # load at the identical virtual instant.
         self._expected: Optional[int] = None
         self._completed = 0
 
@@ -304,7 +305,7 @@ class ScenarioBench:
     def run_until(self, predicate: Callable[[], bool], check_every: int = 256) -> None:
         drive_until(self.sim, predicate, check_every)
 
-    def run_to_completion(self, instances) -> None:
+    def run_to_completion(self, instances):
         """Run until every instance is done, then drain in-flight work.
 
         Instances stop their own controllers at the final counted
@@ -313,9 +314,18 @@ class ScenarioBench:
         themselves forever, so draining without a stop would never
         terminate).  Both the completion instant and the stop instant
         are properties of the event stream, never of the drive loop's
-        polling cadence — the partitioned coordinator reproduces them
-        exactly.
+        polling cadence — a partitioned bench reproduces them exactly
+        through its window loop, whose
+        :class:`~repro.sim.partition.CoordinatorStats` it returns (the
+        serial kernel returns ``None``).
         """
+        if self._partition is not None:
+            return drive_partitioned(
+                self._partition,
+                instances,
+                self.antagonists,
+                self.topology.lookahead_us(),
+            )
         pending = list(instances)
         self._expected = len(pending)
         self._completed = 0
@@ -325,3 +335,11 @@ class ScenarioBench:
         for inst in pending:
             inst.stop()
         self.sim.run()
+        return None
+
+    @property
+    def events_processed(self) -> int:
+        """Events executed so far, summed over sub-kernels when sharded."""
+        if self._partition is not None:
+            return self._partition.events_processed
+        return self.sim.events_processed

@@ -22,7 +22,6 @@ calls it for every scenario-carrying spec; the public
 
 from __future__ import annotations
 
-import gc
 import time
 import warnings
 from typing import Dict, List
@@ -30,6 +29,8 @@ from typing import Dict, List
 from ..core.aggregation import aggregate_quantile, grouped_quantiles
 from ..core.arrival import arrival_from_spec
 from ..core.treadmill import TreadmillConfig, TreadmillInstance
+from ..sim.engine import gc_paused
+from ..sim.partition import partition_for
 from .bench import ScenarioBench
 from .schema import ScenarioSpec
 
@@ -89,14 +90,37 @@ def _build_instances(spec, bench: ScenarioBench) -> List[TreadmillInstance]:
     return instances
 
 
-def _finish_scenario(
-    spec, reports, *, server_utilization, client_utilizations,
-    events_processed, wall_s,
-) -> "RunResult":
-    """Aggregation + RunResult assembly shared by the serial and
-    partitioned scenario paths (one assembly, one byte layout)."""
+def _execute_scenario_spec(spec) -> "RunResult":
+    """Execute one scenario experiment described by ``spec.scenario``.
+
+    ``spec.partitions > 1`` shards the bench across per-rack
+    sub-kernels (:func:`repro.sim.partition.partition_for`); the
+    result is byte-identical either way.
+    """
     from ..exec.spec import RunResult, metric_samples
 
+    scenario: ScenarioSpec = spec.scenario
+    if scenario is None:
+        raise ValueError("run_scenario_spec needs a scenario-carrying spec")
+    t0 = time.perf_counter()
+    bench = ScenarioBench(
+        scenario,
+        run_index=spec.run_index,
+        partition=partition_for(scenario_hosts(scenario), spec.partitions),
+    )
+    instances = _build_instances(spec, bench)
+
+    bench.start_antagonists()
+    for inst in instances:
+        inst.start()
+    with gc_paused():
+        bench.run_to_completion(instances)
+
+    reports = [inst.report() for inst in instances]
+    server_utils: Dict[str, float] = {}
+    for servers in bench.pools.values():
+        for server in servers:
+            server_utils[server.name] = server.measured_utilization()
     samples_by_client = {r.name: metric_samples(r) for r in reports}
     metrics = {
         q: aggregate_quantile(samples_by_client, q, combine=spec.combine)
@@ -114,60 +138,17 @@ def _finish_scenario(
         metrics=metrics,
         # One scalar slot for many servers: report the bottleneck (the
         # hottest server), which is what capacity reasoning needs.
-        server_utilization=server_utilization,
-        client_utilizations=client_utilizations,
-        spec_digest=spec.digest(),
-        wall_s=wall_s,
-        events_processed=events_processed,
-        group_metrics=group_metrics,
-    )
-
-
-def _execute_scenario_spec(spec, partition_mode: str = "inproc") -> "RunResult":
-    """Execute one scenario experiment described by ``spec.scenario``."""
-    scenario: ScenarioSpec = spec.scenario
-    if scenario is None:
-        raise ValueError("run_scenario_spec needs a scenario-carrying spec")
-    if spec.partitions is not None:
-        return _execute_scenario_partitioned(spec, spec.partitions, partition_mode)
-    t0 = time.perf_counter()
-    bench = ScenarioBench(scenario, run_index=spec.run_index)
-    instances = _build_instances(spec, bench)
-
-    bench.start_antagonists()
-    for inst in instances:
-        inst.start()
-    # Same GC discipline as the legacy path: the event loop allocates
-    # no reference cycles, so mid-run cyclic-GC passes are pure cost.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        bench.run_to_completion(instances)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    reports = [inst.report() for inst in instances]
-    server_utils: Dict[str, float] = {}
-    for servers in bench.pools.values():
-        for server in servers:
-            server_utils[server.name] = server.measured_utilization()
-    return _finish_scenario(
-        spec,
-        reports,
         server_utilization=float(max(server_utils.values())),
         client_utilizations={
             name: client.utilization() for name, client in bench.clients.items()
         },
-        events_processed=bench.sim.events_processed,
+        spec_digest=spec.digest(),
         wall_s=time.perf_counter() - t0,
+        events_processed=bench.events_processed,
+        group_metrics=group_metrics,
     )
 
 
-# ----------------------------------------------------------------------
-# partitioned execution
-# ----------------------------------------------------------------------
 def scenario_hosts(scenario: ScenarioSpec) -> List[tuple]:
     """Every scenario host as ``(name, rack)`` in construction order
     (pool servers first, then fleet clients) — the input to
@@ -183,96 +164,3 @@ def scenario_hosts(scenario: ScenarioSpec) -> List[tuple]:
         for i in range(fleet.instances):
             hosts.append((f"{fleet.name}{i}", rack))
     return hosts
-
-
-def build_scenario_partitioned(spec, n_shards: int):
-    """Build one scenario bench sharded across ``n_shards`` sub-kernels.
-
-    Pure function of ``(spec, n_shards)``: every worker process
-    rebuilds the identical simulation and executes only its shard.
-    """
-    from ..sim.partition import PartitionedBuild, PartitionedSimulator, assign_shards
-
-    scenario: ScenarioSpec = spec.scenario
-    partition = PartitionedSimulator(n_shards)
-    partition.assign(assign_shards(scenario_hosts(scenario), n_shards))
-    bench = ScenarioBench(scenario, run_index=spec.run_index, partition=partition)
-    instances = _build_instances(spec, bench)
-    instance_shards = {}
-    for inst in instances:
-        shard = inst.client.sim.shard_id
-        instance_shards[inst.name] = shard
-        inst.on_done = partition.completion_recorder(shard)
-    bench.start_antagonists()
-    for inst in instances:
-        inst.start()
-    servers = []
-    for pool in scenario.pools:
-        for server in bench.pools[pool.name]:
-            servers.append((server.sim.shard_id, server.name, server))
-    return PartitionedBuild(
-        partition=partition,
-        bench=bench,
-        instances=instances,
-        antagonists=[(proc.sim.shard_id, proc) for proc in bench.antagonists],
-        instance_shards=instance_shards,
-        servers=servers,
-        lookahead=bench.topology.lookahead_us(),
-    )
-
-
-def merge_scenario_partials(spec, partials, wall_s: float) -> "RunResult":
-    """Merge per-shard partials into the scenario RunResult (the one
-    merge path shared by the in-process and multi-process modes)."""
-    scenario: ScenarioSpec = spec.scenario
-    reports_by: Dict[str, object] = {}
-    client_utils_by: Dict[str, float] = {}
-    server_utils_by: Dict[str, float] = {}
-    events = 0
-    for partial in partials:
-        reports_by.update(partial["reports"])
-        client_utils_by.update(partial["client_utils"])
-        server_utils_by.update(partial["server_utils"])
-        events += partial["events"]
-    names = [
-        f"{fleet.name}{i}"
-        for fleet in scenario.fleets
-        for i in range(fleet.instances)
-    ]
-    reports = [reports_by[name] for name in names]
-    return _finish_scenario(
-        spec,
-        reports,
-        server_utilization=float(max(server_utils_by.values())),
-        client_utilizations={r.name: client_utils_by[r.name] for r in reports},
-        events_processed=events,
-        wall_s=wall_s,
-    )
-
-
-def _execute_scenario_partitioned(spec, n_shards: int, mode: str) -> "RunResult":
-    from ..sim.partition import collect_partial, drive_partitioned
-
-    if mode == "process":
-        from ..measure.partitionproc import run_partitioned_process
-
-        return run_partitioned_process(
-            spec,
-            n_shards,
-            builder_ref="repro.scenarios.runtime:build_scenario_partitioned",
-            merge=merge_scenario_partials,
-        )
-    if mode != "inproc":
-        raise ValueError(f"unknown partition_mode {mode!r}")
-    t0 = time.perf_counter()
-    build = build_scenario_partitioned(spec, n_shards)
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        drive_partitioned(build)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    partials = [collect_partial(build, s) for s in range(n_shards)]
-    return merge_scenario_partials(spec, partials, time.perf_counter() - t0)

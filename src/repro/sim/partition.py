@@ -50,14 +50,17 @@ counterpart:
   the import fires the downlink — 3 events, like serial
   uplink→spine→downlink.
 
-Execution modes
----------------
+Where it runs
+-------------
 
-:func:`run_windows` is the one window-barrier loop, written against a
-shard-handle interface.  In-process handles drive sub-kernels
-directly (the correctness reference); the multi-process mode
-(:mod:`repro.measure.partitionproc`) drives identical logic over the
-distributed executor's frame protocol.
+A sharded run is a build-time choice of the ordinary serial drivers:
+:func:`partition_for` turns ``RunSpec.partitions`` into a
+:class:`PartitionedSimulator` (or ``None``, which keeps the plain
+kernel), the bench wires its hosts onto the sub-kernels, and the
+bench's ``run_to_completion`` hands the instances to
+:func:`drive_partitioned` instead of the serial drive loop.  Reports,
+utilizations and event counts are then read off the same objects the
+serial path reads.
 """
 
 from __future__ import annotations
@@ -72,13 +75,12 @@ __all__ = [
     "SimError",
     "SubKernel",
     "assign_shards",
+    "partition_for",
     "PartitionedSimulator",
-    "PartitionedBuild",
     "CoordinatorStats",
     "LocalShardHandle",
     "run_windows",
     "drive_partitioned",
-    "collect_partial",
 ]
 
 #: The ISSUE-facing alias: partition-protocol failures raise the
@@ -144,6 +146,22 @@ def assign_shards(
     return mapping
 
 
+def partition_for(
+    hosts: Sequence[Tuple[str, str]], partitions: Optional[int]
+) -> "Optional[PartitionedSimulator]":
+    """The sub-kernel set a spec's ``partitions`` asks for, hosts assigned.
+
+    ``None`` (and any count ``<= 1``) means the plain serial kernel: a
+    single shard would only add window barriers to the same event
+    order, so the drivers skip the window loop entirely.
+    """
+    if partitions is None or partitions <= 1:
+        return None
+    partition = PartitionedSimulator(partitions)
+    partition.assign(assign_shards(hosts, partitions))
+    return partition
+
+
 # ----------------------------------------------------------------------
 # channels: every cross-machine flow, cut-aware
 # ----------------------------------------------------------------------
@@ -175,13 +193,9 @@ class _CutChannel:
         "deliver",
         "extra",
         "size_of",
-        "src_shard",
-        "dst_shard",
     )
 
-    def __init__(
-        self, cid, path, deliver, extra, size_of, src_kernel, src_shard, dst_shard
-    ):
+    def __init__(self, cid, path, deliver, extra, size_of, src_kernel):
         self.cid = cid
         self.uplink = path.uplink
         self.downlink = path.downlink
@@ -190,8 +204,6 @@ class _CutChannel:
         self.extra = extra
         self.size_of = size_of
         self.src_kernel = src_kernel
-        self.src_shard = src_shard
-        self.dst_shard = dst_shard
 
     def send(self, payload) -> None:
         if self.spine_port is None:
@@ -222,9 +234,8 @@ class PartitionedSimulator:
     against it exactly as they build against a single
     :class:`Simulator` — hosts land on their owning kernels via
     :meth:`sim_for_host`, flows become channels via :meth:`channel` —
-    and :func:`run_windows` advances all kernels in conservative
-    windows.  ``n_shards=1`` degenerates to a windowed serial run and
-    is part of the bit-identical test matrix.
+    and :func:`drive_partitioned` advances all kernels in conservative
+    windows.
     """
 
     def __init__(self, n_shards: int):
@@ -236,7 +247,7 @@ class PartitionedSimulator:
         self.channels: List[object] = []
         self._import_fns: Dict[int, Callable[[object], None]] = {}
         #: ``cid -> (src_shard, dst_shard)`` — the coordinator's routing
-        #: table, also the cross-process wiring-divergence check.
+        #: table for boundary events.
         self.routes: Dict[int, Tuple[int, int]] = {}
         self.lookahead_us: Optional[float] = None
 
@@ -278,8 +289,7 @@ class PartitionedSimulator:
         ``deliver(payload, *extra)`` fires on the destination host after
         its downlink, exactly like the serial continuation.  Channel ids
         are assigned in creation order, which is a pure function of the
-        spec — every process derives the identical wiring, and the
-        multi-process coordinator cross-checks that.
+        spec.
         """
         cid = len(self.channels)
         src_shard = self.shard_map[src]
@@ -289,14 +299,7 @@ class PartitionedSimulator:
             ch: object = _ThroughChannel(cid, path, deliver, extra, size_of)
         else:
             ch = _CutChannel(
-                cid,
-                path,
-                deliver,
-                extra,
-                size_of,
-                self.kernels[src_shard],
-                src_shard,
-                dst_shard,
+                cid, path, deliver, extra, size_of, self.kernels[src_shard]
             )
             self._import_fns[cid] = ch.deliver_import
         self.channels.append(ch)
@@ -306,46 +309,10 @@ class PartitionedSimulator:
     def import_fn(self, cid: int) -> Callable[[object], None]:
         return self._import_fns[cid]
 
-    def completion_recorder(self, shard: int) -> Callable[[object], None]:
-        """An ``instance.on_done`` callback logging into ``shard``'s kernel."""
-        kernel = self.kernels[shard]
-
-        def _note(inst) -> None:
-            kernel.completions.append((kernel.now, inst.name))
-
-        return _note
-
     # -- introspection -------------------------------------------------
     @property
     def events_processed(self) -> int:
         return sum(k.events_processed for k in self.kernels)
-
-    def sync_clocks(self, now: float) -> None:
-        for kernel in self.kernels:
-            kernel.sync_now(now)
-
-
-@dataclass
-class PartitionedBuild:
-    """One sharded bench, fully wired and started, ready to drive.
-
-    Produced by a backend builder (``build_single_partitioned`` /
-    ``build_scenario_partitioned``) — in every process identically, so
-    the multi-process mode can rebuild the same simulation per worker
-    and execute only its own shard.
-    """
-
-    partition: PartitionedSimulator
-    #: The bench object (kept alive: it owns machines and topology).
-    bench: object
-    #: Measurement instances in global (spec) order.
-    instances: List[object]
-    #: ``(shard, AntagonistProcess)`` in global deterministic order.
-    antagonists: List[Tuple[int, object]]
-    instance_shards: Dict[str, int]
-    #: ``(shard, name, ServerMachine)`` for every server.
-    servers: List[Tuple[int, str, object]]
-    lookahead: float
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +320,7 @@ class PartitionedBuild:
 # ----------------------------------------------------------------------
 @dataclass
 class CoordinatorStats:
-    """What one partitioned run did (bench + chaos evidence)."""
+    """What one partitioned run did (bench evidence)."""
 
     windows: int = 0
     boundary_events: int = 0
@@ -364,41 +331,27 @@ class CoordinatorStats:
 
 
 class LocalShardHandle:
-    """Drives one in-process sub-kernel through the window protocol.
-
-    Also the worker-side engine of the multi-process mode: a remote
-    worker wraps one of these and replays coordinator frames into it.
-    """
+    """Drives one sub-kernel through the window protocol."""
 
     def __init__(self, partition: PartitionedSimulator, shard: int, antagonists):
-        self._part = partition
+        self._import_fn = partition.import_fn
         self.kernel = partition.kernels[shard]
-        self.shard = shard
         self._antagonists = antagonists
-        self._next_time = 0.0
-        self._barrier = 0.0
 
-    # exchange: apply boundary imports + control events, report next time
-    def begin_exchange(self, wseq: int, imports, controls) -> None:
-        kernel = self.kernel
-        at = kernel.at
-        import_fn = self._part.import_fn
+    def exchange(self, imports, controls) -> float:
+        """Apply boundary imports and control events; report next time."""
+        at = self.kernel.at
+        import_fn = self._import_fn
         for t, cid, payload in imports:
             at(t, import_fn(cid), payload)
         for t, idx in controls:
             at(t, self._antagonists[idx].stop)
-        self._next_time = kernel.next_time()
+        return self.kernel.next_time()
 
-    def end_exchange(self) -> float:
-        return self._next_time
-
-    # advance: run the window, harvest exports and completions
-    def begin_advance(self, wseq: int, barrier: float) -> None:
-        self._barrier = barrier
-
-    def end_advance(self):
+    def advance(self, barrier: float):
+        """Run the window; harvest exports and completions."""
         kernel = self.kernel
-        executed = kernel.run_window(self._barrier)
+        executed = kernel.run_window(barrier)
         exports = kernel.outbox
         completions = kernel.completions
         if exports:
@@ -421,21 +374,20 @@ def run_windows(
 ) -> CoordinatorStats:
     """Advance all shards to quiescence through conservative windows.
 
-    One loop for both execution modes: per window, (1) every shard
-    applies the previous window's boundary imports (in ``(time, source
-    partition, sequence)`` order) plus any control events and reports
-    its earliest pending event; (2) the coordinator takes the global
-    minimum ``gmin`` and broadcasts the barrier ``gmin + L``; (3) every
-    shard runs strictly below the barrier and returns its exports and
-    instance completions.  When the final instance completes at
-    ``T_done``, one stop control per antagonist is issued at ``T_done +
-    L`` — at or beyond the next barrier by construction, and the same
-    rule the serial bench applies inline, so both modes shut background
-    load down at the identical virtual instant.
+    Per window: (1) every shard applies the previous window's boundary
+    imports (in ``(time, source partition, sequence)`` order) plus any
+    control events and reports its earliest pending event; (2) the
+    coordinator takes the global minimum ``gmin`` and sets the barrier
+    ``gmin + L``; (3) every shard runs strictly below the barrier and
+    returns its exports and instance completions.  When the final
+    instance completes at ``T_done``, one stop control per antagonist
+    is issued at ``T_done + L`` — at or beyond the next barrier by
+    construction, and the same rule the serial bench applies inline, so
+    both kernels shut background load down at the identical virtual
+    instant.
 
     Raises :class:`SimulationError` if the heaps drain before every
-    instance completed (wiring bug or lost boundary frame — the clean
-    arm of the chaos invariant).
+    instance completed (a wiring bug or a lost boundary event).
     """
     stats = CoordinatorStats()
     n_shards = len(handles)
@@ -445,25 +397,20 @@ def run_windows(
     pending_controls: List[List[Tuple[float, int]]] = [[] for _ in range(n_shards)]
     controls_issued = not antagonist_shards
     nows = [0.0] * n_shards
-    wseq = 0
     while True:
-        wseq += 1
-        for shard, handle in enumerate(handles):
-            handle.begin_exchange(
-                wseq, pending_imports[shard], pending_controls[shard]
-            )
-        next_times = [h.end_exchange() for h in handles]
+        next_times = [
+            handle.exchange(pending_imports[shard], pending_controls[shard])
+            for shard, handle in enumerate(handles)
+        ]
         pending_imports = [[] for _ in range(n_shards)]
         pending_controls = [[] for _ in range(n_shards)]
         gmin = min(next_times)
         if gmin == float("inf"):
             break
         barrier = gmin + lookahead_us
-        for handle in handles:
-            handle.begin_advance(wseq, barrier)
         exported: List[Tuple[float, int, int, int, object]] = []
         for shard, handle in enumerate(handles):
-            exports, completions, executed, now = handle.end_advance()
+            exports, completions, executed, now = handle.advance(barrier)
             stats.executed += executed
             nows[shard] = now
             for seq, (t, cid, payload) in enumerate(exports):
@@ -497,51 +444,36 @@ def run_windows(
     return stats
 
 
-def drive_partitioned(build) -> CoordinatorStats:
-    """Drive one in-process partitioned build to quiescence.
+def drive_partitioned(
+    partition: PartitionedSimulator,
+    instances: Sequence[object],
+    antagonists: Sequence[object],
+    lookahead_us: float,
+) -> CoordinatorStats:
+    """Run a wired, started sharded bench until every instance is done.
 
-    ``build`` is a :class:`PartitionedBuild`-shaped object (see the
-    backend builders): a :class:`PartitionedSimulator`, the instances,
-    and the antagonist list.  Returns the coordinator stats; the
-    caller assembles results from the (clock-synced) local state.
+    The sharded twin of :func:`repro.core.bench.drive_to_completion`:
+    each instance logs its completion into its client's sub-kernel,
+    the antagonists stop at ``T_done + L``, and on return every kernel
+    clock sits on the global last-event time — so reports,
+    utilizations and event counts read exactly as after a serial run.
     """
-    part = build.partition
-    part.set_lookahead(build.lookahead)
+    partition.set_lookahead(lookahead_us)
+    for inst in instances:
+        kernel = inst.client.sim
+
+        def _note(inst, kernel=kernel) -> None:
+            kernel.completions.append((kernel.now, inst.name))
+
+        inst.on_done = _note
     handles = [
-        LocalShardHandle(part, shard, [a for _, a in build.antagonists])
-        for shard in range(part.n_shards)
+        LocalShardHandle(partition, shard, antagonists)
+        for shard in range(partition.n_shards)
     ]
     return run_windows(
         handles,
-        lookahead_us=build.lookahead,
-        n_instances=len(build.instances),
-        antagonist_shards=[shard for shard, _ in build.antagonists],
-        routes=part.routes,
+        lookahead_us=lookahead_us,
+        n_instances=len(instances),
+        antagonist_shards=[proc.sim.shard_id for proc in antagonists],
+        routes=partition.routes,
     )
-
-
-def collect_partial(build, shard: int) -> Dict[str, object]:
-    """One shard's contribution to the merged result (post clock-sync).
-
-    The multi-process worker ships this dict to the coordinator; the
-    in-process mode collects the same dicts locally — one merge path,
-    both modes.
-    """
-    reports = {}
-    client_utils = {}
-    for inst in build.instances:
-        if build.instance_shards[inst.name] == shard:
-            reports[inst.name] = inst.report()
-            client_utils[inst.name] = inst.client.utilization()
-    server_utils = {
-        name: server.measured_utilization()
-        for srv_shard, name, server in build.servers
-        if srv_shard == shard
-    }
-    return {
-        "shard": shard,
-        "reports": reports,
-        "client_utils": client_utils,
-        "server_utils": server_utils,
-        "events": build.partition.kernels[shard].events_processed,
-    }

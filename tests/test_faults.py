@@ -96,9 +96,8 @@ class TestFaultPlan:
     def test_matrix_seeds_cover_every_injectable_kind(self):
         """The chaos matrix below exercises every distributed fault kind
         at least once (coordinator_restart is added by the recovery
-        test; live kinds live in FaultPlan.generate_live's palette and
-        partition_desync in run_partition_chaos's, so historical seeded
-        plans stay bit-identical)."""
+        test; live kinds live in FaultPlan.generate_live's palette, so
+        historical seeded plans stay bit-identical)."""
         from repro.faults.plan import LIVE_FAULT_KINDS
 
         kinds = set()
@@ -106,9 +105,18 @@ class TestFaultPlan:
             kinds |= set(FaultPlan.generate(seed).kinds())
         assert kinds == (
             set(FAULT_KINDS)
-            - {"coordinator_restart", "partition_desync"}
+            - {"coordinator_restart"}
             - set(LIVE_FAULT_KINDS)
         )
+
+    def test_partition_desync_kind_is_retired(self):
+        """The window-frame fault went with the multi-process
+        partitioned mode; a plan naming it is refused, and no seeded
+        plan draws it."""
+        assert "partition_desync" not in FAULT_KINDS
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultAction(kind="partition_desync", site="partition.frame")
+        assert "partition_desync" not in FaultPlan.generate(seed=3, n_faults=32).kinds()
 
     def test_generate_live_palette_and_determinism(self):
         from repro.faults.plan import LIVE_FAULT_KINDS

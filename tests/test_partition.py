@@ -2,23 +2,20 @@
 
 The conservative parallel DES (:mod:`repro.sim.partition`) promises
 one thing: **any partition count produces `RunResult`s byte-identical
-to the serial kernel** — in-process and multi-process alike.  These
-tests pin that promise for the bench-shaped spec, for every curated
-library scenario, and property-style across topologies x seeds x
-partition counts; plus the deterministic boundary tiebreak, the event
-pool's stale-handle tripwires, and the partition chaos invariant
-(bit-identical or clean ``SimError``, never a hang).
+to the serial kernel** — whichever process runs the spec.  These tests
+pin that promise for the bench-shaped spec, for every curated library
+scenario, and property-style across topologies x seeds x partition
+counts; plus the deterministic boundary tiebreak, the clean failure
+of a drained window loop, and the event pool's stale-handle tripwires.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.exec import ParallelExecutor
 from repro.exec.spec import RunSpec, result_fingerprint
-from repro.measure.simbackend import (
-    _drive_single_partitioned,
-    _drive_single_server,
-)
+from repro.measure.simbackend import _drive_single_server, build_single_server
 from repro.scenarios import (
     list_scenarios,
     load_scenario,
@@ -160,13 +157,32 @@ class TestSingleServerIdentity:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_inproc_matches_serial(self, reference, n):
-        result = _drive_single_partitioned(bench_shaped_spec(), n, "inproc")
+        result = _drive_single_server(bench_shaped_spec().replace(partitions=n))
         assert result_fingerprint(result) == reference
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_multiprocess_matches_serial(self, reference, n):
-        result = _drive_single_partitioned(bench_shaped_spec(), n, "process")
+        # Sharded specs travel the process executor like any other spec:
+        # a worker process runs the windowed sub-kernels, bit for bit.
+        spec = bench_shaped_spec().replace(partitions=n)
+        with ParallelExecutor(max_workers=2) as ex:
+            (result,) = ex.run([spec])
         assert result_fingerprint(result) == reference
+
+    def test_one_partition_runs_the_plain_kernel(self):
+        bench, instances = build_single_server(
+            bench_shaped_spec(samples=20).replace(partitions=1)
+        )
+        assert bench.run_to_completion(instances) is None
+        assert bench.events_processed == bench.sim.events_processed > 0
+
+    def test_sharded_bench_reports_its_windows(self):
+        bench, instances = build_single_server(
+            bench_shaped_spec(samples=20).replace(partitions=2)
+        )
+        stats = bench.run_to_completion(instances)
+        assert stats.windows > 0 and stats.boundary_events > 0
+        assert bench.events_processed == stats.executed
 
     def test_partitions_field_is_digest_neutral(self):
         spec = bench_shaped_spec()
@@ -206,9 +222,8 @@ class TestLibraryScenarioIdentity:
         serial = result_fingerprint(
             _execute_scenario_spec(scenario_spec(scenario))
         )
-        sharded = _execute_scenario_spec(
-            scenario_spec(scenario, partitions=2), partition_mode="process"
-        )
+        with ParallelExecutor(max_workers=2) as ex:
+            (sharded,) = ex.run([scenario_spec(scenario, partitions=2)])
         assert result_fingerprint(sharded) == serial
 
 
@@ -332,19 +347,15 @@ class _StubHandle:
         self.barriers = []
         self.finalized_at = None
 
-    def begin_exchange(self, wseq, imports, controls):
+    def exchange(self, imports, controls):
         self.imports_seen.extend(imports)
-
-    def end_exchange(self):
         return self._next_times.pop(0) if self._next_times else float("inf")
 
-    def begin_advance(self, wseq, barrier):
+    def advance(self, barrier):
         self.barriers.append(barrier)
-
-    def end_advance(self):
         exports = self._exports.pop(0) if self._exports else []
         completions, self._completions = self._completions, []
-        return exports, completions, len(exports), self.barriers[-1]
+        return exports, completions, len(exports), barrier
 
     def finalize(self, global_now):
         self.finalized_at = global_now
@@ -429,61 +440,3 @@ class TestEventPoolTripwires:
         sim = self._pooled_tombstone(Simulator())
         event = sim.schedule(1.0, lambda: None)  # reuses the pooled one
         assert not event.cancelled and event._sim is sim
-
-
-# ----------------------------------------------------------------------
-# partition chaos: bit-identical or clean SimError, never a hang
-# ----------------------------------------------------------------------
-class TestPartitionChaos:
-    @staticmethod
-    def _run(nth):
-        from repro.faults.harness import run_partition_chaos
-        from repro.faults.plan import FaultAction, FaultPlan
-
-        plan = FaultPlan(
-            seed=nth,
-            actions=(
-                FaultAction(
-                    kind="partition_desync", site="partition.frame", nth=nth
-                ),
-            ),
-        )
-        return run_partition_chaos(
-            seed=nth,
-            partitions=2,
-            samples_per_instance=60,
-            plan=plan,
-            window_timeout_s=3.0,
-            deadline_s=60.0,
-        )
-
-    def test_dropped_window_frame_fails_cleanly(self):
-        report = self._run(nth=1)  # odd nth: drop
-        assert report.invariant_holds
-        assert report.clean_failure is not None
-        assert not report.hang and report.unexpected is None
-        assert report.fired == [("partition.frame", 1, "partition_desync")]
-
-    def test_duplicated_window_frame_fails_cleanly(self):
-        report = self._run(nth=2)  # even nth: duplicate
-        assert report.invariant_holds
-        assert report.clean_failure is not None
-        assert "desync" in report.clean_failure
-
-    def test_no_faults_is_bit_identical(self):
-        from repro.faults.harness import run_partition_chaos
-        from repro.faults.plan import FaultPlan
-
-        report = run_partition_chaos(
-            seed=0,
-            partitions=2,
-            samples_per_instance=60,
-            plan=FaultPlan(seed=0, actions=()),
-        )
-        assert report.identical and report.invariant_holds
-
-    def test_desync_kind_is_excluded_from_default_plans(self):
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan.generate(seed=3, n_faults=32)
-        assert "partition_desync" not in plan.kinds()
