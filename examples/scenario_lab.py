@@ -18,7 +18,7 @@ about a minute.  Run::
     PYTHONPATH=src python examples/scenario_lab.py
 """
 
-from repro.exec import run_spec
+from repro.measure import measure_spec
 from repro.scenarios import (
     ScenarioAttributionStudy,
     compile_scenario,
@@ -50,7 +50,7 @@ def main() -> None:
 
     print("running the factor matrix:")
     for spec in specs:
-        result = run_spec(spec)
+        result = measure_spec(spec)
         print(f"  {spec.tag}")
         for (fleet, pool), metrics in sorted(result.group_metrics.items()):
             line = ", ".join(

@@ -77,7 +77,6 @@ from .exec import (
     execution,
     make_executor,
     register_backend,
-    run_spec,
 )
 from .facade import run
 from .guards import (
@@ -103,7 +102,7 @@ from .measure import (
 from .sim import HardwareSpec
 from .workloads import McrouterWorkload, MemcachedWorkload
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "run",
@@ -124,7 +123,6 @@ __all__ = [
     "guard_thresholds",
     "set_guard_thresholds",
     "RunSpec",
-    "run_spec",
     "Executor",
     "Capabilities",
     "SerialExecutor",

@@ -377,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "sim backend: shard each measurement across N in-process "
             "sub-kernels (bit-identical to serial by construction; "
-            "overrides the compiler's rack-topology default, 0 or 1 "
-            "runs the serial kernel)"
+            "default and 0 or 1 run the serial kernel)"
         ),
     )
     add_exec_flags(scen_run_p)
@@ -440,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument(
         "--restart",
         action="store_true",
-        help="also inject a coordinator restart (journal-recovery path)",
+        help="also inject a coordinator restart (cache-recovery path)",
     )
     chaos_p.add_argument(
         "--live",
@@ -710,8 +709,8 @@ def _cmd_scenario_run(scenario, args: argparse.Namespace) -> int:
 
     specs = compile_scenario(scenario)
     if getattr(args, "partitions", None) is not None:
-        # Digest-neutral execution override: 0 forces the serial
-        # kernel, N shards each measurement across N sub-kernels.
+        # Digest-neutral execution choice: 0 is the serial kernel,
+        # N shards each measurement across N sub-kernels.
         n = args.partitions if args.partitions > 0 else None
         specs = [s.replace(partitions=n) for s in specs]
     print(

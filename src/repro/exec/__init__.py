@@ -25,8 +25,7 @@ contract for third-party executor implementers is documented in
 ``src/repro/exec/API.md``.
 
 * the work unit: ``RunSpec``, ``RunResult``, ``spec_digest``,
-  ``metric_samples``, ``SPEC_SCHEMA`` (plus ``run_spec``, a
-  deprecated alias for :func:`repro.measure.measure_spec`)
+  ``metric_samples``, ``SPEC_SCHEMA``
 * the executor API: ``Executor`` (protocol), ``Capabilities``,
   ``make_executor``, ``register_backend``, ``available_backends``,
   per-backend options (``SerialOptions``/``ProcessOptions``/
@@ -40,8 +39,7 @@ contract for third-party executor implementers is documented in
 * observability: ``RunEvent``, ``ProgressHook``, ``StderrProgress``,
   ``Telemetry``, ``chain``
 * resilience: ``RetryPolicy``, ``HealthPolicy``, ``CircuitBreaker``,
-  ``RunJournal``, ``classify_error``, ``TRANSIENT_ERROR_TYPES``,
-  ``QUARANTINE_DIR``
+  ``classify_error``, ``TRANSIENT_ERROR_TYPES``, ``QUARANTINE_DIR``
 * errors: ``ExecError``, ``ExecTimeout``, ``SimulatedCrash``
 """
 
@@ -79,16 +77,14 @@ from .distributed import (
     SimulatedCrash,
     classify_error,
 )
-from .journal import RunJournal
 from .progress import ProgressHook, RunEvent, StderrProgress, Telemetry, chain
-from .spec import SPEC_SCHEMA, RunResult, RunSpec, metric_samples, run_spec, spec_digest
+from .spec import SPEC_SCHEMA, RunResult, RunSpec, metric_samples, spec_digest
 
 __all__ = [
     # work unit
     "SPEC_SCHEMA",
     "RunSpec",
     "RunResult",
-    "run_spec",
     "spec_digest",
     "metric_samples",
     # executor API
@@ -127,7 +123,6 @@ __all__ = [
     "RetryPolicy",
     "HealthPolicy",
     "CircuitBreaker",
-    "RunJournal",
     "classify_error",
     "TRANSIENT_ERROR_TYPES",
     "QUARANTINE_DIR",

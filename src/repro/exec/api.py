@@ -27,9 +27,7 @@ Three pieces live here:
   to a live executor.  SSH or k8s fan-outs later plug in here
   without touching any driver.
 
-The pre-registry spelling ``make_executor(jobs=N, **pool_kwargs)``
-keeps working but emits a :class:`DeprecationWarning`; new code names
-the backend::
+Callers name the backend::
 
     make_executor("process", options=ProcessOptions(workers=8))
     make_executor("cluster", workers=3)          # option kwargs inline
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -153,24 +150,23 @@ class ProcessOptions:
     timeout: Optional[float] = None
     #: Re-attempts for crashed/timed-out tasks.
     retries: int = 1
-    #: Submission bound (default ``2 x workers``).
-    max_inflight: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry budget + backoff for *transient* task failures.
+    """Retry budget + backoff for lost work and *transient* task failures.
 
     Lost work (crashed workers, expired leases, digest mismatches) and
     transient worker exceptions (``MemoryError``, ``OSError``, pickling
-    transport errors) are re-attempted under this budget; genuine task
-    exceptions are never retried (a pure function of the spec fails
-    the same way every time).
+    transport errors) are each re-attempted under this budget; genuine
+    task exceptions are never retried (a pure function of the spec
+    fails the same way every time).
 
     Backoff is exponential with *decorrelated jitter* (Brooker, AWS
     Architecture Blog): ``delay = min(cap, uniform(base, prev * 3))``,
-    drawn from a seeded RNG so the schedule is deterministic for a
-    given seed — chaos runs are replayable.
+    drawn from one seeded stream per spec (:mod:`repro.exec.backoff`)
+    so each spec's schedule is deterministic for a given seed — chaos
+    runs are replayable.
     """
 
     #: Attempts per spec before the batch fails (>= 1).
@@ -223,23 +219,12 @@ class ClusterOptions:
     port: int = 0
     #: Lease seconds before an issued task is presumed lost and requeued.
     lease_s: float = 60.0
-    #: Give up on a spec after this many failed/lost attempts.
-    max_attempts: int = 3
-    #: Speculatively re-issue straggling leased tasks to idle workers
-    #: (safe: equal spec ⇒ equal result, duplicates are discarded).
-    steal: bool = True
-    #: Idle-worker polling interval, seconds.
-    poll_s: float = 0.05
-    #: Retry budget + backoff for transient failures.  ``max_attempts``
-    #: above remains the lost-work bound; this policy's own
-    #: ``max_attempts`` bounds *transient task errors* and its backoff
-    #: paces every requeue.
+    #: Retry budget + backoff: ``retry.max_attempts`` bounds both lost
+    #: work and transient task errors per spec; its backoff paces every
+    #: requeue.
     retry: RetryPolicy = RetryPolicy()
     #: Worker circuit breaking + graceful-degradation floor.
     health: HealthPolicy = HealthPolicy()
-    #: Append-only JSONL run journal enabling coordinator-restart
-    #: recovery (None: no journal).
-    journal_path: Optional[str] = None
     #: Deterministic fault-injection plan (``repro.faults.FaultPlan``)
     #: threaded through every hook point; None in production.
     fault_plan: Optional[object] = None
@@ -347,52 +332,19 @@ def _options_for(info: BackendInfo, options: object, kwargs: Dict[str, object]) 
 
 
 def make_executor(
-    backend: object = "serial",
+    backend: str = "serial",
     *,
     options: object = None,
     task: Callable[[object], object] = measure_spec,
     cache: Optional[ResultCache] = None,
     cache_dir: Optional[os.PathLike] = None,
-    jobs: Optional[int] = None,
     **option_kwargs: object,
 ) -> Executor:
-    """Build an executor from a registered backend name.
-
-    New spelling::
+    """Build an executor from a registered backend name::
 
         make_executor("process", options=ProcessOptions(workers=8))
         make_executor("cluster", workers=3, lease_s=30.0)
-
-    Deprecated spelling (still honored, with a ``DeprecationWarning``)::
-
-        make_executor(4)           # jobs as the first positional
-        make_executor(jobs=4, timeout=60.0, retries=2)
     """
-    # ---- legacy surface -------------------------------------------------
-    if isinstance(backend, int):
-        if jobs is not None:
-            raise TypeError("pass jobs positionally or by keyword, not both")
-        jobs, backend = backend, None
-    if jobs is not None:
-        warnings.warn(
-            "make_executor(jobs=N, **pool_kwargs) is deprecated and will be "
-            "removed in version 2.0; migrate to make_executor('serial') or "
-            "make_executor('process', options=ProcessOptions(workers=N, ...)) "
-            "(see exec/API.md, 'Deprecated surface')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if backend not in (None, "serial", "process"):
-            raise TypeError("jobs= only applies to the serial/process backends")
-        if jobs <= 1:
-            backend, option_kwargs = "serial", {}
-        else:
-            backend = "process"
-            option_kwargs = dict(option_kwargs)
-            option_kwargs.setdefault("workers", jobs)
-            # legacy kwarg names
-            if "max_workers" in option_kwargs:
-                option_kwargs["workers"] = option_kwargs.pop("max_workers")
     if not isinstance(backend, str):
         raise TypeError(f"backend must be a registry name, got {backend!r}")
 

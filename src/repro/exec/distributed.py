@@ -25,9 +25,10 @@ that:
   existing :class:`~repro.exec.progress.RunEvent` stream — drivers
   cannot tell it apart from the serial backend except by wall clock.
 * :class:`LocalClusterExecutor` — the same executor, but it spawns
-  its workers as local subprocesses (``python -m repro.exec.worker``),
-  which is what ``--executor cluster --workers N`` and the tests use.
-  Dead local workers are respawned (bounded) while a batch is active.
+  its workers as local subprocesses (``python -m repro.exec.worker``,
+  via :func:`~repro.exec.protocol.spawn_module`), which is what
+  ``--executor cluster --workers N`` and the tests use.  Dead local
+  workers are respawned (bounded) while a batch is active.
 
 Self-healing (PR 3) — the measurement infrastructure is itself a
 source of tail-latency lies if it fails unevenly ("Tell-Tale Tail
@@ -36,16 +37,17 @@ Latencies"), so failures are *classified and contained*:
 * **transient vs deterministic errors** — a worker ``MemoryError`` /
   ``OSError`` / pickling transport error is retried under a
   :class:`~repro.exec.api.RetryPolicy` budget with exponential backoff
-  and decorrelated jitter; a genuine task exception still fails fast
+  and decorrelated jitter (:mod:`repro.exec.backoff`, one seeded
+  stream per spec); a genuine task exception still fails fast
   (re-running a pure function on the same input is futile);
 * **circuit breakers** — :class:`CircuitBreaker` quarantines workers
   whose leases repeatedly expire or whose results fail digest
   verification, and un-quarantines them after a cool-down
   (:class:`~repro.exec.api.HealthPolicy`);
-* **run journal** — with ``ClusterOptions.journal_path`` set, issued
-  and completed digests are appended to a crash-recoverable
-  :class:`~repro.exec.journal.RunJournal`, so a restarted coordinator
-  re-runs only unfinished specs (payloads come from the cache);
+* **restart from the cache** — every accepted result is written to
+  the content-addressed :class:`~repro.exec.cache.ResultCache` as it
+  lands, so a restarted coordinator given the same cache serves the
+  finished specs from it and re-runs only the rest;
 * **graceful degradation** — when healthy workers stay below
   ``HealthPolicy.min_healthy_workers`` for a grace period, the
   remaining specs fall back to the local process backend instead of
@@ -61,29 +63,29 @@ Registered in the backend registry as ``"cluster"`` with
 from __future__ import annotations
 
 import os
-import random
 import re
 import socket
 import subprocess
-import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty, Queue
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .api import Capabilities, ClusterOptions, HealthPolicy, RetryPolicy, register_backend
+from .backoff import jitter_rng, next_delay
 from .cache import ResultCache
 from .executors import ExecError, ParallelExecutor, _emit, _ExecutorBase
-from .journal import RunJournal
 from .progress import ProgressHook, RunEvent
 from .protocol import (
     ProtocolError,
     handshake_reply,
+    reap,
     recv_msg,
     resolve_task,
     send_msg,
+    spawn_module,
     task_reference,
 )
 from ..measure.api import measure_spec
@@ -100,6 +102,10 @@ __all__ = [
 ]
 
 
+#: Seconds an idle worker waits before asking for work again.
+_POLL_S = 0.05
+
+
 def digest_of(spec: object) -> str:
     """Content digest for any spec (empty when uncanonicalizable)."""
     method = getattr(spec, "digest", None)
@@ -114,10 +120,9 @@ def digest_of(spec: object) -> str:
 class SimulatedCrash(ExecError):
     """An injected ``coordinator_restart`` fault killed the run loop.
 
-    Raised only under fault injection; the run journal and result
-    cache survive, so constructing a fresh executor with the same
-    ``journal_path``/cache resumes the batch (see
-    ``repro.faults.harness``).
+    Raised only under fault injection; the result cache survives, so
+    constructing a fresh executor with the same cache resumes the
+    batch (see ``repro.faults.harness``).
     """
 
 
@@ -263,10 +268,13 @@ class _Batch:
     the lease-expiry, digest-mismatch, backoff, and worker-death paths
     are unit testable without a network in the loop.
 
-    ``retry`` paces every requeue with exponential backoff +
-    decorrelated jitter drawn from a seeded RNG (deterministic per
-    seed); when None, a zero-backoff policy preserves the legacy
-    immediate-requeue behaviour.
+    ``retry.max_attempts`` bounds both lost work (expired leases,
+    dropped connections, digest mismatches) and transient task
+    errors per spec.  Its backoff paces every requeue with
+    decorrelated jitter drawn from one seeded stream per spec, so a
+    spec's delays are deterministic per seed whatever order other
+    specs fail in.  When ``retry`` is None, a zero-backoff policy
+    requeues immediately.
     """
 
     def __init__(
@@ -274,16 +282,12 @@ class _Batch:
         indices: Sequence[int],
         digests: Dict[int, str],
         lease_s: float,
-        max_attempts: int,
-        steal: bool,
         retry: Optional[RetryPolicy] = None,
     ):
         self.pending: deque = deque(indices)
         self.todo: Set[int] = set(indices)
         self.digests = digests
         self.lease_s = lease_s
-        self.max_attempts = max_attempts
-        self.steal = steal
         self.retry = retry if retry is not None else RetryPolicy(backoff_base_s=0.0)
         self.done: Set[int] = set()
         self.failures: Dict[int, int] = {i: 0 for i in indices}
@@ -295,17 +299,21 @@ class _Batch:
         self.failed: Optional[str] = None
         self.last_expired: List[Tuple[int, int]] = []  # (index, conn_id)
         self._prev_delay: Dict[int, float] = {}
-        self._rng = random.Random(self.retry.jitter_seed)
+        self._rngs: Dict[int, object] = {}
         self._next_lease_id = 0
 
     # -- backoff -------------------------------------------------------
     def _backoff_delay(self, index: int) -> float:
-        """Decorrelated jitter: ``min(cap, uniform(base, prev * 3))``."""
+        """The next decorrelated-jitter delay on spec ``index``'s stream."""
         base = self.retry.backoff_base_s
         if base <= 0:
             return 0.0
-        prev = self._prev_delay.get(index, base)
-        delay = min(self.retry.backoff_cap_s, self._rng.uniform(base, prev * 3))
+        rng = self._rngs.get(index)
+        if rng is None:
+            rng = self._rngs[index] = jitter_rng(self.retry.jitter_seed, 0, index, 0)
+        delay = next_delay(
+            rng, base, self.retry.backoff_cap_s, self._prev_delay.get(index, base)
+        )
         self._prev_delay[index] = delay
         return delay
 
@@ -344,7 +352,7 @@ class _Batch:
             self.pending.appendleft(index)
         if lease is not None:
             return lease
-        if self.steal and not backed_off:
+        if not backed_off:
             candidates = [
                 cand
                 for cand in self.leases.values()
@@ -362,19 +370,12 @@ class _Batch:
         lease.active = False
         self.active_by_index[lease.index].discard(lease.lease_id)
 
-    def _record_loss(
-        self,
-        index: int,
-        reason: str,
-        now: float = 0.0,
-        budget: Optional[int] = None,
-    ) -> None:
+    def _record_loss(self, index: int, reason: str, now: float = 0.0) -> None:
         """A lease was lost/rejected: back off and requeue, or fail."""
         if index in self.done:
             return
         self.failures[index] += 1
-        bound = budget if budget is not None else self.max_attempts
-        if self.failures[index] >= bound:
+        if self.failures[index] >= self.retry.max_attempts:
             self.failed = (
                 f"spec #{index} failed {self.failures[index]} time(s) "
                 f"(last: {reason}); giving up"
@@ -510,11 +511,9 @@ class Coordinator:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        poll_s: float = 0.05,
         health: Optional[HealthPolicy] = None,
         injector: Optional[object] = None,
     ):
-        self.poll_s = poll_s
         self.events: Queue = Queue()
         self.breaker = CircuitBreaker(health if health is not None else HealthPolicy())
         self.injector = injector
@@ -548,8 +547,6 @@ class Coordinator:
         digests: Dict[int, str],
         task_ref: str,
         lease_s: float,
-        max_attempts: int,
-        steal: bool,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         with self._lock:
@@ -557,7 +554,7 @@ class Coordinator:
                 raise RuntimeError("a batch is already active")
             self._specs = dict(specs)
             self._task_ref = task_ref
-            self._batch = _Batch(indices, digests, lease_s, max_attempts, steal, retry)
+            self._batch = _Batch(indices, digests, lease_s, retry)
         # drop events left over from an abandoned batch
         while True:
             try:
@@ -743,7 +740,7 @@ class Coordinator:
             task_ref = self._task_ref
             lease_s = batch.lease_s if batch is not None else 0.0
         if lease is None:
-            self._send(conn, {"type": "wait", "poll_s": self.poll_s})
+            self._send(conn, {"type": "wait", "poll_s": _POLL_S})
             return
         self._send(
             conn,
@@ -913,10 +910,11 @@ class ClusterExecutor(_ExecutorBase):
     any worker (verified by digest on receipt).
 
     Self-healing extras (all off unless configured in
-    :class:`~repro.exec.api.ClusterOptions`): a crash-recoverable run
-    journal (``journal_path``), graceful degradation to the process
-    backend below a healthy-worker floor (``health``), and a
-    deterministic fault-injection plan (``fault_plan``).
+    :class:`~repro.exec.api.ClusterOptions`): graceful degradation to
+    the process backend below a healthy-worker floor (``health``) and
+    a deterministic fault-injection plan (``fault_plan``).  A
+    coordinator restart needs no extra state: construct a new executor
+    over the same cache and re-run the batch.
     """
 
     def __init__(
@@ -932,8 +930,6 @@ class ClusterExecutor(_ExecutorBase):
         self.options = options if options is not None else ClusterOptions(**option_kwargs)
         if self.options.lease_s <= 0:
             raise ValueError("lease_s must be positive")
-        if self.options.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if self.options.retry.max_attempts < 1:
             raise ValueError("retry.max_attempts must be >= 1")
         # Validate that the task survives the module:qualname round
@@ -945,7 +941,6 @@ class ClusterExecutor(_ExecutorBase):
                 "cluster tasks must be module-level callables"
             )
         self._coordinator: Optional[Coordinator] = None
-        self._journal: Optional[RunJournal] = None
         plan = self.options.fault_plan
         make = getattr(plan, "injector", None)
         self._injector = make() if callable(make) else None
@@ -957,19 +952,12 @@ class ClusterExecutor(_ExecutorBase):
         """(host, port) the coordinator listens on, once started."""
         return self._coordinator.address if self._coordinator else None
 
-    @property
-    def journal(self) -> Optional[RunJournal]:
-        if self._journal is None and self.options.journal_path:
-            self._journal = RunJournal(self.options.journal_path)
-        return self._journal
-
     def start(self) -> Coordinator:
         """Bind the coordinator (idempotent); returns it."""
         if self._coordinator is None:
             self._coordinator = Coordinator(
                 host=self.options.host,
                 port=self.options.port,
-                poll_s=self.options.poll_s,
                 health=self.options.health,
                 injector=self._injector,
             )
@@ -992,9 +980,6 @@ class ClusterExecutor(_ExecutorBase):
         if self._coordinator is not None:
             self._coordinator.close()
             self._coordinator = None
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
 
     def capabilities(self) -> Capabilities:
         return Capabilities(
@@ -1021,7 +1006,6 @@ class ClusterExecutor(_ExecutorBase):
         progress: Optional[ProgressHook],
         total: int,
         completed: int,
-        journal_id: Optional[str],
     ) -> int:
         """Run the unfinished specs on the process backend; returns the
         updated completed count."""
@@ -1044,8 +1028,6 @@ class ClusterExecutor(_ExecutorBase):
             fallback_results = fallback.run([specs[i] for i in remaining])
         for i, result in zip(remaining, fallback_results):
             results[i] = result
-            if journal_id is not None and self.journal is not None:
-                self.journal.record_done(journal_id, digest_of(specs[i]))
             _emit(progress, completed, total, specs[i], result, cached=False)
             completed += 1
         return completed
@@ -1061,46 +1043,25 @@ class ClusterExecutor(_ExecutorBase):
         results: List[object] = [None] * total
         completed = 0
         todo: List[int] = []
-        journal = self.journal
-        journaled_done = journal.completed_digests() if journal is not None else set()
-        resumed = 0
         for i, spec in enumerate(specs):
             hit = self._cache_get(spec)
             if hit is not None:
                 results[i] = hit
-                resumed += digest_of(spec) in journaled_done
                 _emit(progress, completed, total, spec, hit, cached=True)
                 completed += 1
             else:
                 todo.append(i)
-        if resumed and progress is not None:
-            progress(
-                RunEvent(
-                    index=-1,
-                    total=total,
-                    kind="recovery",
-                    detail=(
-                        f"journal resume: {resumed} spec(s) already "
-                        "complete, served from cache"
-                    ),
-                )
-            )
         if not todo:
             return results
 
         coordinator = self.start()
         digests = {i: digest_of(specs[i]) for i in todo}
-        journal_id: Optional[str] = None
-        if journal is not None:
-            journal_id = journal.begin_batch([digests[i] for i in todo])
         coordinator.start_batch(
             todo,
             {i: specs[i] for i in todo},
             digests,
             self.task_ref,
             lease_s=self.options.lease_s,
-            max_attempts=self.options.max_attempts,
-            steal=self.options.steal,
             retry=self.options.retry,
         )
         sweep_every = max(0.01, min(0.25, self.options.lease_s / 4.0))
@@ -1112,8 +1073,8 @@ class ClusterExecutor(_ExecutorBase):
                 action = _fire(self._injector, "coordinator.loop")
                 if getattr(action, "kind", None) == "coordinator_restart":
                     raise SimulatedCrash(
-                        "injected coordinator_restart: run journal and "
-                        "cache survive; resume by re-running the batch"
+                        "injected coordinator_restart: the cache survives; "
+                        "resume by re-running the batch"
                     )
                 try:
                     event = coordinator.events.get(timeout=sweep_every)
@@ -1137,8 +1098,6 @@ class ClusterExecutor(_ExecutorBase):
                         if results[index] is None:
                             results[index] = result
                             self._cache_put(specs[index], result)
-                            if journal_id is not None and journal is not None:
-                                journal.record_done(journal_id, digests[index])
                             _emit(
                                 progress,
                                 completed,
@@ -1168,15 +1127,12 @@ class ClusterExecutor(_ExecutorBase):
                                 progress,
                                 total,
                                 completed,
-                                journal_id,
                             )
                             pending = 0
                     else:
                         below_floor_since = None
         finally:
             coordinator.end_batch()
-        if journal_id is not None and journal is not None:
-            journal.end_batch(journal_id)
         return results
 
     def healthy_workers(self) -> int:
@@ -1209,23 +1165,13 @@ class LocalClusterExecutor(ClusterExecutor):
     # -- worker management ---------------------------------------------
     def _spawn_worker(self, name: str) -> subprocess.Popen:
         host, port = self.address
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.exec.worker",
-            "--connect",
-            f"{host}:{port}",
-            "--name",
-            name,
-        ]
+        args = ["--connect", f"{host}:{port}", "--name", name]
         plan = self.options.fault_plan
         plan = getattr(plan, "plan", plan)  # accept FaultInjector too
         to_json = getattr(plan, "to_json", None)
         if callable(to_json):
-            argv += ["--fault-plan", to_json()]
-        return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+            args += ["--fault-plan", to_json()]
+        return spawn_module("repro.exec.worker", *args)
 
     def _on_started(self) -> None:
         for i in range(self.options.workers):
@@ -1242,20 +1188,7 @@ class LocalClusterExecutor(ClusterExecutor):
 
     def close(self) -> None:
         super().close()  # closes sockets: workers see EOF and exit
-        for proc in self._procs:
-            if proc.poll() is None:
-                try:
-                    proc.terminate()
-                except OSError:
-                    pass
-        deadline = time.monotonic() + 5.0
-        for proc in self._procs:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        reap(self._procs, grace_s=5.0)
         self._procs = []
 
 

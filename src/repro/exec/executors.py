@@ -51,10 +51,9 @@ from .api import (
     RetryPolicy,
     SerialOptions,
     backend_info,
-    make_executor,  # noqa: F401 - re-exported for backwards compatibility
+    make_executor,
     register_backend,
 )
-from .api import make_executor as _make_executor
 from ..measure.api import backend_is_deterministic, measure_spec
 from .cache import ResultCache
 from .progress import ProgressHook, RunEvent
@@ -202,8 +201,8 @@ class ParallelExecutor(_ExecutorBase):
     retries:
         How many times a crashed/timed-out spec is re-attempted before
         :class:`ExecError` / :class:`ExecTimeout` is raised.
-    max_inflight:
-        Submission bound (default ``2 x max_workers``).
+
+    At most ``2 x max_workers`` specs are submitted at a time.
     """
 
     def __init__(
@@ -213,7 +212,6 @@ class ParallelExecutor(_ExecutorBase):
         cache: Optional[ResultCache] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
-        max_inflight: Optional[int] = None,
     ):
         super().__init__(task=task, cache=cache)
         self.max_workers = max_workers or os.cpu_count() or 1
@@ -225,7 +223,6 @@ class ParallelExecutor(_ExecutorBase):
             raise ValueError("retries must be >= 0")
         self.timeout = timeout
         self.retries = retries
-        self.max_inflight = max_inflight or 2 * self.max_workers
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def capabilities(self) -> Capabilities:
@@ -286,7 +283,7 @@ class ParallelExecutor(_ExecutorBase):
 
         pool = self._ensure_pool() if queue else None
         while queue or inflight:
-            while queue and len(inflight) < self.max_inflight:
+            while queue and len(inflight) < 2 * self.max_workers:
                 i = queue.popleft()
                 attempts[i] += 1
                 deadline = (
@@ -386,7 +383,6 @@ def _process_factory(
         cache=cache,
         timeout=options.timeout,
         retries=options.retries,
-        max_inflight=options.max_inflight,
     )
 
 
@@ -439,7 +435,7 @@ def set_execution_defaults(
     them — see :func:`default_executor`):
 
     * ``retries`` — attempt budget per spec (process ``retries`` /
-      cluster ``max_attempts`` + retry policy);
+      cluster ``retry.max_attempts``);
     * ``min_healthy_workers`` — cluster graceful-degradation floor;
     * ``fault_plan`` — a ``repro.faults.FaultPlan`` (or injector) for
       chaos testing; never set in production.
@@ -519,7 +515,6 @@ def _resilience_kwargs(backend: str) -> Dict[str, object]:
         elif "retry" in valid:
             # Cluster semantics: N retries = N + 1 attempts, bounding
             # both lost-work requeues and transient task errors.
-            kwargs["max_attempts"] = int(retries) + 1
             kwargs["retry"] = RetryPolicy(max_attempts=int(retries) + 1)
     floor = _DEFAULTS["min_healthy_workers"]
     if floor is not None and "health" in valid:
@@ -549,11 +544,11 @@ def default_executor(task: Callable[[object], object] = measure_spec) -> _Execut
         if workers is None and jobs > 1:
             workers = jobs
     if backend == "serial":
-        return _make_executor("serial", task=task, cache_dir=cache_dir)
+        return make_executor("serial", task=task, cache_dir=cache_dir)
     option_kwargs = _resilience_kwargs(backend)
     if workers is not None:
         option_kwargs["workers"] = workers
-    return _make_executor(backend, task=task, cache_dir=cache_dir, **option_kwargs)
+    return make_executor(backend, task=task, cache_dir=cache_dir, **option_kwargs)
 
 
 def execute_specs(

@@ -35,8 +35,8 @@ class RunEvent:
       expired, digest mismatch, worker quarantined, injected fault);
       ``detail`` names it, ``index`` is -1;
     * ``"recovery"`` — the containment succeeded (spec requeued,
-      breaker closed, journal resume, degradation to a local
-      backend); ``detail`` names it, ``index`` is -1.
+      breaker closed, degradation to a local backend); ``detail``
+      names it, ``index`` is -1.
 
     Aggregating hooks must ignore non-``"run"`` events for run math
     (both shipped hooks do).

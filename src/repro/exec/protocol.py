@@ -40,15 +40,25 @@ Pickle is the serialization because specs already guarantee pickle
 round-trip fidelity (see ``tests/test_exec.py``) and workers are
 *trusted* — this protocol targets lab clusters behind a firewall, the
 deployment the paper's methodology assumes, not the open internet.
+
+Both supervisors that speak this protocol — the cluster executor
+(:mod:`repro.exec.distributed`, children ``repro.exec.worker``) and
+the live fleet (:mod:`repro.live.fleet`, children
+``repro.live.clientproc``) — start and stop their children through
+:func:`spawn_module` and :func:`reap`.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import pickle
 import socket
 import struct
-from typing import Dict, Optional
+import subprocess
+import sys
+import time
+from typing import Dict, Iterable, Optional
 
 from .spec import SPEC_SCHEMA
 
@@ -65,6 +75,8 @@ __all__ = [
     "handshake_reply",
     "task_reference",
     "resolve_task",
+    "spawn_module",
+    "reap",
 ]
 
 #: Bump on any incompatible change to framing or message fields.
@@ -262,3 +274,55 @@ def handshake_reply(msg: Dict[str, object]) -> Dict[str, object]:
         "library": _library_version(),
         "spec_schema": SPEC_SCHEMA,
     }
+
+
+# ----------------------------------------------------------------------
+# child processes
+# ----------------------------------------------------------------------
+#: The directory holding the ``repro`` package, so a child imports the
+#: same library version as its parent (the handshake checks it).
+_PACKAGE_PARENT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+
+def spawn_module(module: str, *args: str) -> subprocess.Popen:
+    """Start ``python -m module *args`` as a child process.
+
+    The child's ``PYTHONPATH`` is this package's parent followed by the
+    parent's ``sys.path``, so it imports this library version and any
+    task module the parent can import.  Its stdout is discarded; its
+    stderr is inherited so crashes stay visible.
+    """
+    paths = [_PACKAGE_PARENT] + [p for p in sys.path if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.Popen(
+        [sys.executable, "-m", module, *args],
+        env=env,
+        stdout=subprocess.DEVNULL,
+    )
+
+
+def reap(procs: Iterable[Optional[subprocess.Popen]], grace_s: float) -> None:
+    """Stop and wait for every child in ``procs`` (``None`` entries skipped).
+
+    Live children get SIGTERM and share one ``grace_s`` deadline to
+    exit; any still running after it gets SIGKILL.  Every child is
+    waited for, so none is left as a zombie.
+    """
+    live = [p for p in procs if p is not None and p.poll() is None]
+    for proc in live:
+        try:
+            proc.terminate()
+        except OSError:  # pragma: no cover - exited in between
+            pass
+    deadline = time.monotonic() + grace_s
+    for proc in live:
+        try:
+            proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            try:
+                proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
+                pass

@@ -24,8 +24,7 @@ Execution itself lives behind the versioned
 ``"sim"`` selects the historical virtual-time simulator) and routes to
 the registered backend.  Every driver (procedure, attribution, sweeps,
 capacity, experiment modules) ultimately funnels through that
-dispatcher; the :func:`run_spec` name kept here is a deprecated alias
-for it.
+dispatcher.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,7 +45,6 @@ __all__ = [
     "SPEC_SCHEMA",
     "RunSpec",
     "RunResult",
-    "run_spec",
     "metric_samples",
     "spec_digest",
     "result_fingerprint",
@@ -360,7 +357,8 @@ def result_fingerprint(result: RunResult) -> str:
     trailing request total, ``events_processed`` — participates, so
     two fingerprints are equal iff the runs are bit-identical.  This
     is the comparator behind the serial-vs-partitioned identity gates
-    (tests and ``bench_sim`` ``outputs_identical``).
+    (``tests/test_partition.py``) and the repository benchmark's
+    round digests (``bench/``).
 
     Pickled with memoization disabled: the default memo encodes the
     object-*sharing* topology (which strings alias which), and that is
@@ -396,23 +394,3 @@ def metric_samples(report: InstanceReport) -> np.ndarray:
         return raw
     qs = np.linspace(0.0005, 0.9995, 2000)
     return np.asarray(report.histogram.quantiles(qs))
-
-
-def run_spec(spec: RunSpec) -> RunResult:
-    """Deprecated alias for :func:`repro.measure.measure_spec`.
-
-    The execution body moved behind the versioned MeasurementBackend
-    protocol (:mod:`repro.measure.api`); the simulator semantics live
-    in :mod:`repro.measure.simbackend`, bit-identical to the historical
-    in-place body.  Use :func:`repro.run` (or ``measure_spec`` for the
-    single-spec primitive) instead.
-    """
-    warnings.warn(
-        "run_spec() is deprecated; use repro.run(spec) or "
-        "repro.measure.measure_spec(spec) (see exec/API.md migration table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..measure.api import measure_spec
-
-    return measure_spec(spec)

@@ -1,13 +1,13 @@
 """`repro.run` — the one front door for executing experiments.
 
-Historically the library had three run spellings: ``run_spec`` (plain
+Before 2.0 the library had three run spellings: ``run_spec`` (plain
 specs), ``run_scenario_spec`` (scenario-carrying specs), and ad-hoc
 executor calls inside experiment runners.  :func:`run` consolidates
 them: give it a :class:`~repro.exec.spec.RunSpec` or a
 :class:`~repro.scenarios.schema.ScenarioSpec`, optionally name a
 measurement backend and/or an executor, and it does the right thing.
-The old spellings survive as thin deprecated aliases (see
-``exec/API.md``, "Migration table").
+The old spellings were removed in 2.0 (see ``exec/API.md``,
+"Migration table").
 """
 
 from __future__ import annotations

@@ -16,12 +16,12 @@ check the executor's one honest promise.
 2. compute the serial reference signatures;
 3. run the same batch on a :class:`~repro.exec.LocalClusterExecutor`
    wired with a seeded :class:`~repro.faults.plan.FaultPlan` injector,
-   a result cache, a run journal, retry budgets, circuit breakers,
-   and a healthy-worker floor;
+   a result cache, retry budgets, circuit breakers, and a
+   healthy-worker floor;
 4. when an injected ``coordinator_restart`` kills the run loop
    (:class:`~repro.exec.distributed.SimulatedCrash`), restart from
-   the journal + cache — the injector is *shared* across restarts so
-   consumed faults never re-fire;
+   the cache — the injector is *shared* across restarts so consumed
+   faults never re-fire;
 5. compare against the reference and report.
 
 The harness is also the reference driver for operating real chaos
@@ -36,7 +36,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from ..exec.api import ClusterOptions, HealthPolicy, RetryPolicy
 from ..exec.cache import ResultCache
 from ..exec.distributed import LocalClusterExecutor, SimulatedCrash
 from ..exec.executors import ExecError, SerialExecutor
-from ..exec.journal import RunJournal
 from ..exec.progress import Telemetry
 from .plan import FaultAction, FaultInjector, FaultPlan
 
@@ -162,7 +161,8 @@ class ChaosReport:
     recoveries_observed: int = 0
     fired: List[Tuple[str, int, str]] = field(default_factory=list)
     degraded: bool = False
-    journal_outstanding: int = 0
+    #: Specs the last restarted incarnation served from the cache.
+    resumed_from_cache: int = 0
     wall_s: float = 0.0
 
     @property
@@ -183,7 +183,7 @@ class ChaosReport:
             "recoveries": self.recoveries_observed,
             "fired": [list(f) for f in self.fired],
             "degraded": self.degraded,
-            "journal_outstanding": self.journal_outstanding,
+            "resumed_from_cache": self.resumed_from_cache,
             "wall_s": round(self.wall_s, 3),
             "invariant_holds": self.invariant_holds,
         }
@@ -192,14 +192,12 @@ class ChaosReport:
 def _cluster_options(
     workers: int,
     lease_s: float,
-    journal_path: str,
     injector: FaultInjector,
     seed: int,
 ) -> ClusterOptions:
     return ClusterOptions(
         workers=workers,
         lease_s=lease_s,
-        max_attempts=8,
         retry=RetryPolicy(
             max_attempts=8,
             backoff_base_s=0.02,
@@ -212,7 +210,6 @@ def _cluster_options(
             min_healthy_workers=1,
             degrade_after_s=4.0 * lease_s,
         ),
-        journal_path=journal_path,
         fault_plan=injector,
     )
 
@@ -231,9 +228,9 @@ def run_chaos(
 
     ``plan=None`` draws ``FaultPlan.generate(seed, hang_s=2.5*lease_s)``;
     ``include_restart=True`` appends a ``coordinator_restart`` action,
-    and the harness then resumes from the run journal + cache with the
-    *same* injector (consumed faults never re-fire, so restarts are
-    bounded by the plan, with ``max_restarts`` as a backstop).
+    and the harness then resumes from the cache with the *same*
+    injector (consumed faults never re-fire, so restarts are bounded by
+    the plan, with ``max_restarts`` as a backstop).
     """
     t0 = time.perf_counter()
     specs = [ChaosSpec(payload=i, salt=seed) for i in range(n_specs)]
@@ -253,7 +250,6 @@ def run_chaos(
         tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
         work_dir = tmp.name
     root = Path(work_dir)
-    journal_path = str(root / "journal.jsonl")
     cache = ResultCache(root / "cache")
 
     report = ChaosReport(
@@ -262,21 +258,19 @@ def run_chaos(
         plan_digest=plan.digest(),
         kinds=plan.kinds(),
     )
-    telemetry = Telemetry()
     results = None
     degraded = False
     try:
         while True:
             executor = LocalClusterExecutor(
-                options=_cluster_options(
-                    workers, lease_s, journal_path, injector, seed
-                ),
+                options=_cluster_options(workers, lease_s, injector, seed),
                 task=chaos_task,
                 cache=cache,
             )
+            telemetry = Telemetry()
+            restarted = report.restarts > 0
             try:
                 results = executor.run(specs, progress=telemetry)
-                degraded = degraded or executor.degraded
                 break
             except SimulatedCrash:
                 report.restarts += 1
@@ -292,15 +286,14 @@ def run_chaos(
             finally:
                 degraded = degraded or executor.degraded
                 executor.close()
+                report.faults_observed += telemetry.faults
+                report.recoveries_observed += telemetry.recoveries
+                if restarted:
+                    report.resumed_from_cache = telemetry.cache_hits
         if results is not None:
             report.identical = [result_signature(r) for r in results] == reference
         report.degraded = degraded
-        report.faults_observed = telemetry.faults
-        report.recoveries_observed = telemetry.recoveries
         report.fired = list(injector.fired)
-        report.journal_outstanding = sum(
-            len(d) for d in RunJournal(journal_path).open_batches().values()
-        )
     finally:
         if tmp is not None:
             tmp.cleanup()

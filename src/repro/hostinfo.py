@@ -1,7 +1,8 @@
 """Host identity for benchmark provenance.
 
-The perf-trajectory files (``BENCH_exec.json`` / ``BENCH_sim.json``)
-are compared across commits, but the numbers are only comparable when
+The repository benchmark (``bench/``) stores this next to every set of
+runs (``bench/baseline.json``, ``bench/run.py --out``), and runs are
+compared across commits, but the numbers are only comparable when
 they come from comparable machines — a parallel speedup measured on a
 1-CPU CI runner measures scheduling overhead, not parallelism.
 :func:`host_info` records enough of the host's shape to make that

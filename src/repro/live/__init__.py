@@ -26,8 +26,6 @@ Modules:
   (``LiveBackend``/``LiveOptions``) registered as backend ``"live"``,
   and the spec→\\ :class:`~repro.live.driver.InstanceAssignment`
   lowering shared by every execution shape.
-* :mod:`repro.live.backoff` — the seeded decorrelated-jitter schedule
-  behind both connection reconnects and process respawns.
 * :mod:`repro.live.fleet` / :mod:`repro.live.clientproc` — the
   multi-process fleet supervisor and its client-process entry point.
 * :mod:`repro.live.refserver` — a deterministic local reference server
@@ -41,7 +39,6 @@ never gated on an outstanding response (the paper's §II client-bias
 pitfall — see the coordinated-omission guard test).
 """
 
-from .backoff import RESPAWN_CHANNEL, backoff_schedule, jitter_rng
 from .driver import (
     InstanceAssignment,
     LiveBackend,
@@ -63,9 +60,6 @@ __all__ = [
     "assignments_for_spec",
     "ping",
     "parse_target",
-    "RESPAWN_CHANNEL",
-    "jitter_rng",
-    "backoff_schedule",
     "RefServerConfig",
     "ReferenceServer",
     "serve_in_thread",

@@ -48,7 +48,7 @@ robustness layer):
 * a dropped connection is **reconnected** with bounded exponential
   backoff and decorrelated jitter (the
   :class:`~repro.exec.api.RetryPolicy` schedule, seeded per
-  ``(seed, run_index, instance, slot)`` — :mod:`repro.live.backoff`),
+  ``(seed, run_index, instance, slot)`` — :mod:`repro.exec.backoff`),
   its in-flight requests counted lost;
 * a connection whose reconnect budget is exhausted is **salvaged**:
   its sends re-route to the surviving connections and the run
@@ -83,8 +83,8 @@ import numpy as np
 
 from ..core.treadmill import PhaseRecorder, TreadmillConfig
 from ..guards.api import LATE_GAP_FACTOR
+from ..exec.backoff import jitter_rng, next_delay
 from ..sim.rng import RngRegistry
-from .backoff import jitter_rng, next_delay
 from .protocol import (
     PING,
     decode_response,
@@ -723,7 +723,7 @@ class _LiveInstance:
         """
         label = f"{self.name}/conn{slot}"
         # Seeded decorrelated-jitter schedule (RetryPolicy semantics;
-        # repro.live.backoff pins its determinism).
+        # repro.exec.backoff pins its determinism).
         backoff_rng = jitter_rng(
             self.spec.seed, self.spec.run_index, self.index, slot
         )
@@ -755,7 +755,7 @@ class _LiveInstance:
         """Bounded exponential backoff with decorrelated jitter:
         ``delay = min(cap, uniform(base, prev * 3))`` between attempts
         (the :class:`~repro.exec.api.RetryPolicy` schedule — see
-        :mod:`repro.live.backoff`)."""
+        :mod:`repro.exec.backoff`)."""
         opts = self.options
         delay = opts.reconnect_backoff_base_s
         for attempt in range(opts.reconnect_attempts):

@@ -20,15 +20,14 @@ own failures:
   partial :class:`~repro.core.treadmill.PhaseRecorder` state, and a
   process-CPU fraction) every ``heartbeat_interval_s``;
 * a missed **heartbeat deadline** or an unexpected exit is a crash;
-  crashed slots are **respawned** under a per-slot budget with the
-  seeded decorrelated-jitter schedule
-  (:func:`repro.live.backoff.jitter_rng` on channel
-  :data:`~repro.live.backoff.RESPAWN_CHANNEL` — replayable, like the
-  connection backoff);
-* a per-slot :class:`~repro.exec.distributed.CircuitBreaker`
-  quarantines a client that keeps dying, and the heartbeat CPU probe
-  quarantines one that is **saturated** (``saturation_cpu_fraction``)
-  — a sick client is detected and excluded, not averaged in;
+  crashed slots are **respawned** under a per-slot budget
+  (``respawn_attempts``) with the seeded decorrelated-jitter schedule
+  (:func:`repro.exec.backoff.jitter_rng` on channel
+  :data:`~repro.exec.backoff.RESPAWN_CHANNEL` — replayable, like the
+  connection backoff); a slot that exhausts its budget is lost for
+  good, and the heartbeat CPU probe quarantines a client that is
+  **saturated** (``saturation_cpu_fraction``) — a sick client is
+  detected and excluded, not averaged in;
 * the merge is **crash-safe**: completed slots' reports aggregate
   through the same :func:`~repro.live.driver.build_live_result` path
   as the single-process driver (so the merged histogram over the
@@ -52,21 +51,24 @@ against a perfectly healthy client.
 
 from __future__ import annotations
 
-import os
 import secrets
 import socket
 import subprocess
-import sys
 import threading
 import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..exec.api import HealthPolicy
-from ..exec.distributed import CircuitBreaker
-from ..exec.protocol import ProtocolError, handshake_reply, recv_msg, send_msg
-from .backoff import RESPAWN_CHANNEL, jitter_rng, next_delay
+from ..exec.backoff import RESPAWN_CHANNEL, jitter_rng, next_delay
+from ..exec.protocol import (
+    ProtocolError,
+    handshake_reply,
+    reap,
+    recv_msg,
+    send_msg,
+    spawn_module,
+)
 from .driver import (
     InstanceAssignment,
     LiveMeasurementError,
@@ -152,15 +154,6 @@ class FleetRun:
         self.slots = [
             _Slot(s, list(assignments[s::processes])) for s in range(processes)
         ]
-        self.breaker = CircuitBreaker(
-            HealthPolicy(
-                # One more strike than the respawn budget: exhausting
-                # the budget IS the quarantine decision, the breaker
-                # records it and refuses resurrection attempts.
-                trip_after=options.respawn_attempts + 1,
-                cooldown_s=3600.0,
-            )
-        )
         self._token = secrets.token_hex(8)
         self._listener: Optional[socket.socket] = None
         self._events: List[str] = []
@@ -193,13 +186,6 @@ class FleetRun:
                 elif action.kind == "client_proc_hang":
                     directive = {"kind": "hang"}
                 self._event("fault-directive", f"{action.kind} -> {slot.name}")
-        env = dict(os.environ)
-        import repro
-
-        pkg_parent = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))
-        )
-        env["PYTHONPATH"] = pkg_parent + os.pathsep + env.get("PYTHONPATH", "")
         host, port = self._listener.getsockname()[:2]
         with slot.lock:
             slot.incarnation += 1
@@ -212,33 +198,16 @@ class FleetRun:
             slot.last_beat = now
             slot.beat_grace = _STARTUP_GRACE_S
             slot.state = "running"
-            slot.proc = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro.live.clientproc",
-                    "--connect",
-                    f"{host}:{port}",
-                    "--slot",
-                    str(slot.slot),
-                    "--token",
-                    self._token,
-                ],
-                env=env,
-                stdout=subprocess.DEVNULL,
+            slot.proc = spawn_module(
+                "repro.live.clientproc",
+                "--connect",
+                f"{host}:{port}",
+                "--slot",
+                str(slot.slot),
+                "--token",
+                self._token,
             )
         self._event("spawn", f"{slot.name} incarnation {slot.incarnation}")
-
-    @staticmethod
-    def _kill(slot: _Slot) -> None:
-        proc = slot.proc
-        if proc is None or proc.poll() is not None:
-            return
-        proc.kill()
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
-            pass
 
     # -- connection handling --------------------------------------------
     def _accept_loop(self) -> None:
@@ -361,7 +330,7 @@ class FleetRun:
         slot.lost_reason = reason
         self.lost_clients += 1
         self._event("client-lost", f"{slot.name}: {reason}")
-        self._kill(slot)
+        reap([slot.proc], grace_s=0.0)
 
     def _check_loss_bound(self) -> None:
         fraction = self.lost_clients / len(self.slots)
@@ -381,10 +350,8 @@ class FleetRun:
 
     def _handle_failure(self, slot: _Slot, reason: str, now: float) -> None:
         """One incarnation of ``slot`` is gone; respawn or give up."""
-        self._kill(slot)
-        tripped = self.breaker.record_failure(slot.name, now)
-        budget_left = slot.respawns_used < self.options.respawn_attempts
-        if budget_left and not tripped and self.breaker.allow(slot.name, now):
+        reap([slot.proc], grace_s=0.0)
+        if slot.respawns_used < self.options.respawn_attempts:
             if slot.backoff_rng is None:
                 slot.backoff_rng = jitter_rng(
                     self.spec.seed,
@@ -425,8 +392,7 @@ class FleetRun:
                 self._spawn(slot, now)
             self._supervise()
         finally:
-            for slot in self.slots:
-                self._kill(slot)
+            reap([slot.proc for slot in self.slots], grace_s=0.0)
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - platform noise
@@ -457,7 +423,6 @@ class FleetRun:
                     continue
                 if result is not None:
                     slot.state = "done"
-                    self.breaker.record_success(slot.name)
                     self._event("client-done", slot.name)
                     continue
                 if error is not None:

@@ -1,7 +1,7 @@
 """The simulator measurement backend ("sim").
 
-The historical execution semantics of :func:`repro.exec.spec.run_spec`,
-now behind the :class:`~repro.measure.api.MeasurementBackend` protocol:
+The library's original execution semantics, behind the
+:class:`~repro.measure.api.MeasurementBackend` protocol:
 one spec == one of the paper's independent runs == one fresh
 :class:`~repro.core.bench.TestBench` boot in virtual time.  Scenario
 specs route through the multi-pool scenario runtime.

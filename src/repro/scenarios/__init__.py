@@ -27,7 +27,6 @@ from .config import (
     spine_from_json,
 )
 from .library import list_scenarios, load_scenario
-from .runtime import run_scenario_spec
 from .schema import (
     SCENARIO_SCHEMA,
     AntagonistSpec,
@@ -55,7 +54,6 @@ __all__ = [
     "is_degenerate",
     "lower_degenerate",
     "ScenarioBench",
-    "run_scenario_spec",
     "ScenarioAttributionStudy",
     "group_experiment_samples",
     "list_scenarios",

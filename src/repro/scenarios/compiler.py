@@ -153,7 +153,11 @@ def auto_partitions(spec: ScenarioSpec) -> "int | None":
     per distinct rack when the scenario spans several racks, else None
     (serial).  The rack split is exactly the grouping whose minimum
     cross-partition propagation delay the network exposes as the
-    conservative lookahead, so it is the natural sharding."""
+    conservative lookahead, so it is the natural sharding.
+
+    Opt-in only: compiled specs run on the plain kernel, which is
+    faster on every library scenario.  Pass the count as
+    ``RunSpec.partitions`` to shard a run (results are identical)."""
     racks = {pool.rack for pool in spec.pools}
     for fleet in spec.fleets:
         if fleet.rack is not None:
@@ -192,13 +196,6 @@ def expand_scenario(
                     run_index=r,
                     tag=tag,
                     scenario=variant,
-                    # Auto-partition from the rack topology: one
-                    # sub-kernel per rack when the scenario spans
-                    # several (partitions is digest-excluded — results
-                    # are pinned bit-identical to serial — so this is
-                    # an execution-strategy default, not a semantic
-                    # change).
-                    partitions=auto_partitions(variant),
                 )
             out.append((coded, r, run))
     return out

@@ -14,16 +14,15 @@ aggregation-imbalance detector (:mod:`repro.guards.detectors`) audits
 per-client sample shares both pooled and per ``(fleet, pool)`` scope,
 and the per-instance guard tape (``phase_windows``/``warmup_tail``)
 recorded by the shared :class:`~repro.core.treadmill.PhaseRecorder`
-gives the drift detectors the same evidence here as on plain specs.  The simulator measurement backend
-calls it for every scenario-carrying spec; the public
-:func:`run_scenario_spec` name is a deprecated alias for
+gives the drift detectors the same evidence here as on plain specs.
+The simulator measurement backend calls it for every scenario-carrying
+spec; callers use :func:`repro.run` or
 :func:`repro.measure.measure_spec`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, List
 
 from ..core.aggregation import aggregate_quantile, grouped_quantiles
@@ -33,26 +32,6 @@ from ..sim.engine import gc_paused
 from ..sim.partition import partition_for
 from .bench import ScenarioBench
 from .schema import ScenarioSpec
-
-__all__ = ["run_scenario_spec"]
-
-
-def run_scenario_spec(spec) -> "RunResult":
-    """Deprecated alias for :func:`repro.measure.measure_spec`.
-
-    Kept so pre-PR-7 callers continue to work; dispatching through the
-    measurement registry also honours ``spec.backend`` instead of
-    silently assuming the simulator.
-    """
-    warnings.warn(
-        "run_scenario_spec() is deprecated; use repro.run(spec) or "
-        "repro.measure.measure_spec(spec) (see exec/API.md migration table)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..measure.api import measure_spec
-
-    return measure_spec(spec)
 
 
 def _build_instances(spec, bench: ScenarioBench) -> List[TreadmillInstance]:
@@ -101,7 +80,7 @@ def _execute_scenario_spec(spec) -> "RunResult":
 
     scenario: ScenarioSpec = spec.scenario
     if scenario is None:
-        raise ValueError("run_scenario_spec needs a scenario-carrying spec")
+        raise ValueError("a scenario run needs a scenario-carrying spec")
     t0 = time.perf_counter()
     bench = ScenarioBench(
         scenario,

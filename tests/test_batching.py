@@ -25,7 +25,8 @@ from repro.core.arrival import (
 )
 from repro.core.bench import BenchConfig, TestBench
 from repro.core.treadmill import TreadmillConfig, TreadmillInstance
-from repro.exec.spec import RunSpec, run_spec
+from repro.exec.spec import RunSpec
+from repro.measure import measure_spec
 from repro.workloads.generators import (
     Constant,
     Discrete,
@@ -279,7 +280,7 @@ class TestGoldenDigest:
     )
 
     def test_full_run_digest_is_frozen(self):
-        assert self.result_digest(run_spec(self.golden_spec())) == self.GOLDEN
+        assert self.result_digest(measure_spec(self.golden_spec())) == self.GOLDEN
 
     def test_spec_digest_is_frozen(self):
         assert self.golden_spec().digest() == self.GOLDEN_SPEC_DIGEST
@@ -306,4 +307,4 @@ class TestGoldenDigest:
         from repro.scenarios import compile_scenario, scenario_from_json
 
         (lowered,) = compile_scenario(scenario_from_json(self.GOLDEN_SCENARIO))
-        assert self.result_digest(run_spec(lowered)) == self.GOLDEN
+        assert self.result_digest(measure_spec(lowered)) == self.GOLDEN

@@ -27,6 +27,7 @@ from repro.exec import (
     ExecError,
     LocalClusterExecutor,
     ResultCache,
+    RetryPolicy,
     RunSpec,
     SerialExecutor,
     Telemetry,
@@ -201,10 +202,11 @@ class TestTaskReference:
         assert proto.resolve_task(ref) is _double
 
     def test_run_spec_reference(self):
-        from repro.exec.spec import run_spec
+        """The default spec-running task travels by reference."""
+        from repro.measure.api import measure_spec
 
-        assert proto.resolve_task("repro.exec.spec:run_spec") is run_spec
-        assert proto.task_reference(run_spec) == "repro.exec.spec:run_spec"
+        assert proto.resolve_task("repro.measure.api:measure_spec") is measure_spec
+        assert proto.task_reference(measure_spec) == "repro.measure.api:measure_spec"
 
     def test_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -222,9 +224,10 @@ class TestTaskReference:
 # ----------------------------------------------------------------------
 # the lease state machine (no sockets, fake clock)
 # ----------------------------------------------------------------------
-def _batch(n=3, lease_s=10.0, max_attempts=3, steal=True):
+def _batch(n=3, lease_s=10.0, max_attempts=3):
     digests = {i: spec_digest(i) for i in range(n)}
-    return _Batch(range(n), digests, lease_s, max_attempts, steal)
+    retry = RetryPolicy(max_attempts=max_attempts, backoff_base_s=0.0)
+    return _Batch(range(n), digests, lease_s, retry)
 
 
 class TestBatch:
@@ -298,7 +301,7 @@ class TestBatch:
         assert batch.failed is not None
 
     def test_duplicate_result_discarded(self):
-        batch = _batch(1, steal=True)
+        batch = _batch(1)
         original = batch.next_task(now=0.0, conn_id=1)
         stolen = batch.next_task(now=0.0, conn_id=2)  # queue empty -> steal
         assert stolen is not None and stolen.stolen
@@ -308,15 +311,10 @@ class TestBatch:
         assert (s1, s2) == ("ok", "duplicate")
 
     def test_steal_bounded_to_one_duplicate(self):
-        batch = _batch(1, steal=True)
+        batch = _batch(1)
         batch.next_task(now=0.0, conn_id=1)
         assert batch.next_task(now=0.0, conn_id=2) is not None
         assert batch.next_task(now=0.0, conn_id=3) is None
-
-    def test_no_steal_when_disabled(self):
-        batch = _batch(1, steal=False)
-        batch.next_task(now=0.0, conn_id=1)
-        assert batch.next_task(now=0.0, conn_id=2) is None
 
     def test_drop_connection_requeues_only_that_workers_leases(self):
         batch = _batch(2)
@@ -400,7 +398,9 @@ def _run_in_thread(executor, specs):
 def bare_cluster():
     """A ClusterExecutor with no spawned workers (external-worker mode)."""
     ex = ClusterExecutor(
-        options=ClusterOptions(workers=1, lease_s=5.0, max_attempts=3),
+        options=ClusterOptions(
+            workers=1, lease_s=5.0, retry=RetryPolicy(max_attempts=3)
+        ),
         task=_double,
     )
     ex.start()
@@ -470,7 +470,9 @@ class TestCoordinator:
 
     def test_repeated_worker_death_exhausts_attempts(self):
         ex = ClusterExecutor(
-            options=ClusterOptions(workers=1, lease_s=5.0, max_attempts=2),
+            options=ClusterOptions(
+                workers=1, lease_s=5.0, retry=RetryPolicy(max_attempts=2)
+            ),
             task=_double,
         )
         ex.start()
@@ -522,7 +524,7 @@ class TestLocalCluster:
         """Acceptance: kill -9 a worker while the batch runs; lease
         requeue + respawn still deliver every result, correctly."""
         ex = LocalClusterExecutor(
-            workers=2, lease_s=3.0, max_attempts=5, task=_slow_double
+            workers=2, lease_s=3.0, retry=RetryPolicy(max_attempts=5), task=_slow_double
         )
         try:
             ex.start()

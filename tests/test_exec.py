@@ -30,10 +30,10 @@ from repro.exec import (
     execution,
     get_execution_defaults,
     make_executor,
-    run_spec,
 )
 from repro.exec import cache as cache_mod
 from repro.exec.executors import ExecError, ExecTimeout
+from repro.measure import measure_spec
 from repro.workloads.memcached import MemcachedWorkload
 
 
@@ -144,7 +144,7 @@ class TestRunSpec:
 
     def test_run_spec_matches_procedure_run_once(self):
         proc = MeasurementProcedure(quick_config())
-        direct = run_spec(proc.spec_for(0))
+        direct = measure_spec(proc.spec_for(0))
         via_proc = proc.run_once(0)
         assert direct.metrics == via_proc.metrics
         assert direct.events_processed == via_proc.events_processed > 0
@@ -170,8 +170,8 @@ class TestDeterminism:
         assert [r.run_index for r in results] == [0, 1, 2, 3]
 
     def test_make_executor_dispatch(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        ex = make_executor(2)
+        assert isinstance(make_executor("serial"), SerialExecutor)
+        ex = make_executor("process", workers=2)
         assert isinstance(ex, ParallelExecutor)
         ex.close()
 
@@ -184,7 +184,7 @@ class TestCache:
         cache = ResultCache(tmp_path)
         spec = quick_spec()
         assert cache.get(spec) is None
-        first = run_spec(spec)
+        first = measure_spec(spec)
         cache.put(spec, first)
         again = cache.get(spec)
         assert again is not None
@@ -198,7 +198,7 @@ class TestCache:
     def test_raw_samples_stored_alongside(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = quick_spec()
-        outcome = run_spec(spec)
+        outcome = measure_spec(spec)
         cache.put(spec, outcome)
         raw_path = cache.raw_path(spec)
         assert raw_path is not None
@@ -207,7 +207,7 @@ class TestCache:
     def test_version_bump_invalidates(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         spec = quick_spec()
-        cache.put(spec, run_spec(spec))
+        cache.put(spec, measure_spec(spec))
         assert len(cache) == 1
         monkeypatch.setattr(cache_mod, "CACHE_SCHEMA", cache_mod.CACHE_SCHEMA + 1)
         assert cache.get(spec) is None  # stale entry deleted on sight
@@ -216,7 +216,7 @@ class TestCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = quick_spec()
-        entry = cache.put(spec, run_spec(spec))
+        entry = cache.put(spec, measure_spec(spec))
         (entry / "outcome.pkl").write_bytes(b"not a pickle")
         assert cache.get(spec) is None
 

@@ -2,7 +2,7 @@
 
 * the `Executor` protocol + `Capabilities` introspection,
 * the backend registry (`make_executor` by name, per-backend option
-  dataclasses, third-party registration, deprecation of the ad-hoc
+  dataclasses, third-party registration, rejection of the removed
   `jobs=` spelling),
 * the `default_executor` / `execution` plumbing for named backends and
   the CLI's `--executor/--workers` flags,
@@ -34,11 +34,11 @@ from repro.exec import (
     execution,
     make_executor,
     register_backend,
-    run_spec,
     spec_digest,
 )
 from repro.exec import api as api_mod
 from repro.exec.spec import _canonical_blob
+from repro.measure import measure_spec
 from repro.workloads.memcached import MemcachedWorkload
 
 
@@ -177,36 +177,17 @@ class TestRegistry:
 
 
 class TestDeprecatedSurface:
-    def test_warning_carries_schedule_and_migration_hint(self):
-        """The message must name the removal version and the new
-        spelling — migration guidance, not a bare rejection."""
-        with pytest.warns(DeprecationWarning) as caught:
-            make_executor(jobs=1)
-        message = str(caught[0].message)
-        assert "removed in version 2.0" in message
-        assert "ProcessOptions(workers=N" in message
-        assert "make_executor('serial')" in message
+    """The 1.x spellings were removed in 2.0; they fail loudly."""
 
-    def test_positional_jobs_still_works_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert isinstance(make_executor(1), SerialExecutor)
-        with pytest.warns(DeprecationWarning):
-            pool = make_executor(4)
-        try:
-            assert isinstance(pool, ParallelExecutor)
-            assert pool.max_workers == 4
-        finally:
-            pool.close()
+    def test_positional_jobs_is_rejected(self):
+        with pytest.raises(TypeError, match="registry name"):
+            make_executor(4)
 
-    def test_jobs_keyword_with_pool_kwargs_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            pool = make_executor(jobs=2, timeout=9.0, retries=2)
-        try:
-            assert pool.max_workers == 2
-            assert pool.timeout == 9.0
-            assert pool.retries == 2
-        finally:
-            pool.close()
+    def test_jobs_keyword_is_rejected(self):
+        with pytest.raises(TypeError, match="jobs"):
+            make_executor(jobs=2, timeout=9.0, retries=2)
+        with pytest.raises(TypeError, match="max_workers"):
+            make_executor("process", max_workers=2)
 
     def test_new_spelling_does_not_warn(self):
         with warnings.catch_warnings():
@@ -332,7 +313,7 @@ class TestPickleRoundTrip:
 
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_result_round_trip_every_protocol(self, protocol):
-        result = run_spec(quick_spec())
+        result = measure_spec(quick_spec())
         clone = pickle.loads(pickle.dumps(result, protocol=protocol))
         assert clone.metrics == result.metrics
         assert clone.spec_digest == result.spec_digest

@@ -6,7 +6,7 @@ Five layers, tested separately so failures localize:
   at-most-once firing;
 * resilience units — error classification, `_Batch` retry budgets
   with backoff, the worker `CircuitBreaker` (all clock-injected, no
-  sleeping), the crash-recoverable `RunJournal`, cache quarantine;
+  sleeping), cache quarantine;
 * `Coordinator.close()` — idempotency and the no-leaked-FD promise;
 * graceful degradation — a cluster below its healthy-worker floor
   falls back to the process backend instead of stalling;
@@ -31,7 +31,6 @@ from repro.exec import (
     HealthPolicy,
     ResultCache,
     RetryPolicy,
-    RunJournal,
     SerialExecutor,
     TRANSIENT_ERROR_TYPES,
     classify_error,
@@ -199,9 +198,9 @@ class TestClassifyError:
         assert classify_error("pickle.PicklingError")
 
 
-def _mini_batch(n=2, retry=None, lease_s=60.0, max_attempts=3):
+def _mini_batch(n=2, retry=None, lease_s=60.0):
     digests = {i: f"d{i}" for i in range(n)}
-    return _Batch(range(n), digests, lease_s, max_attempts, True, retry=retry)
+    return _Batch(range(n), digests, lease_s, retry=retry)
 
 
 class TestTaskErrorClassification:
@@ -267,6 +266,40 @@ class TestTaskErrorClassification:
         assert delays(3) != delays(4)
         assert all(d <= 5.0 for d in delays(3))  # capped
 
+    def test_backoff_per_spec_is_independent_of_failure_order(self):
+        """Two specs failing in order (0, 1) or (1, 0) each see the same
+        delay sequence: every spec draws from its own seeded stream."""
+        retry = RetryPolicy(
+            max_attempts=10, backoff_base_s=0.1, backoff_cap_s=5.0, jitter_seed=7
+        )
+
+        def per_spec_delays(order):
+            batch = _mini_batch(n=2, retry=retry)
+            leases = {}
+            while len(leases) < 2:
+                lease = batch.next_task(now=0.0, conn_id=1)
+                leases[lease.index] = lease
+            out = {0: [], 1: []}
+            now = 0.0
+            for _ in range(3):
+                for index in order:
+                    batch.task_error(
+                        leases[index].lease_id,
+                        "OSError()",
+                        "tb",
+                        error_type="OSError",
+                        now=now,
+                    )
+                    out[index].append(batch.not_before[index] - now)
+                now = max(batch.not_before.values()) + 0.01
+                leases = {}
+                while len(leases) < 2:
+                    lease = batch.next_task(now=now, conn_id=1)
+                    leases[lease.index] = lease
+            return out
+
+        assert per_spec_delays((0, 1)) == per_spec_delays((1, 0))
+
 
 # ----------------------------------------------------------------------
 # the circuit breaker (pure, clock-injected)
@@ -323,54 +356,6 @@ class TestCircuitBreaker:
         for t in range(20):
             assert not breaker.record_failure("w", now=float(t))
         assert breaker.allow("w", now=100.0)
-
-
-# ----------------------------------------------------------------------
-# the run journal
-# ----------------------------------------------------------------------
-class TestRunJournal:
-    def test_roundtrip_and_completion_tracking(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            batch = journal.begin_batch(["aa", "bb", "cc"])
-            journal.record_issued(batch, "aa")
-            journal.record_done(batch, "aa")
-            assert journal.completed_digests() == {"aa"}
-            assert journal.open_batches() == {batch: {"bb", "cc"}}
-            journal.record_done(batch, "bb")
-            journal.record_done(batch, "cc")
-            journal.end_batch(batch)
-            assert journal.open_batches() == {}
-
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            batch = journal.begin_batch(["aa"])
-            journal.record_done(batch, "aa")
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"ev": "done", "batch": "' + batch + '", "dig')  # kill -9
-        records = RunJournal.replay(path)
-        assert [r["ev"] for r in records] == ["begin", "done"]
-
-    def test_torn_middle_line_is_corruption(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('{"ev": "begin", "batch": "x", "digests": []}\ngarb\n{"ev": "end", "batch": "x"}\n')
-        with pytest.raises(ValueError, match="corrupt"):
-            RunJournal.replay(path)
-
-    def test_survives_reopen(self, tmp_path):
-        """The restart path: a new journal over the same file sees the
-        old bookkeeping and appends to it."""
-        path = tmp_path / "journal.jsonl"
-        with RunJournal(path) as journal:
-            batch = journal.begin_batch(["aa", "bb"], batch_id="b1")
-            journal.record_done(batch, "aa")
-        with RunJournal(path) as journal:  # the restarted coordinator
-            assert journal.completed_digests() == {"aa"}
-            assert journal.open_batches() == {"b1": {"bb"}}
-            journal.record_done("b1", "bb")
-            journal.end_batch("b1")
-            assert journal.open_batches() == {}
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +466,7 @@ class TestCoordinatorClose:
 # graceful degradation
 # ----------------------------------------------------------------------
 class TestDegradation:
-    def test_falls_back_below_healthy_worker_floor(self, tmp_path):
+    def test_falls_back_below_healthy_worker_floor(self):
         """A bare cluster with no workers ever connecting must not
         stall: below the floor it degrades to the process backend and
         still returns serial-identical results."""
@@ -492,7 +477,6 @@ class TestDegradation:
             workers=2,
             lease_s=1.0,
             health=HealthPolicy(min_healthy_workers=1, degrade_after_s=0.2),
-            journal_path=str(tmp_path / "journal.jsonl"),
         )
         executor = ClusterExecutor(options=options, task=chaos_task)
         try:
@@ -501,8 +485,6 @@ class TestDegradation:
             executor.close()
         assert executor.degraded
         assert [result_signature(r) for r in results] == reference
-        # Degraded completions are journaled like any others.
-        assert RunJournal(options.journal_path).open_batches() == {}
 
 
 # ----------------------------------------------------------------------
@@ -532,8 +514,7 @@ class TestResilienceDefaults:
             assert _resilience_kwargs("serial") == {}
             assert _resilience_kwargs("process") == {"retries": 2}
             cluster = _resilience_kwargs("cluster")
-            assert cluster["max_attempts"] == 3  # N retries = N + 1 attempts
-            assert cluster["retry"].max_attempts == 3
+            assert cluster["retry"].max_attempts == 3  # N retries = N + 1 attempts
             assert cluster["health"].min_healthy_workers == 1
 
     def test_cli_parses_resilience_flags(self, tmp_path):
@@ -616,20 +597,30 @@ class TestChaosInvariant:
             # The failure arm must be attributed, not a bare crash.
             assert report.clean_failure.strip()
 
-    def test_coordinator_restart_recovers_from_journal(self):
+    def test_coordinator_restart_recovers_from_cache(self):
         """Kill the run loop mid-batch; the restarted run must finish
-        from the journal + cache and re-run only unfinished specs."""
+        from the cache and re-run only unfinished specs.
+
+        The restart fires on scheduler iteration ``n_specs``.  An
+        iteration handles at most one result and the first cannot see
+        one (workers are still starting), so the crash always lands
+        before the batch completes; with the 0.25 s sweep of a 1 s
+        lease, results have been accepted unless worker start-up took
+        longer than about 3.5 s."""
+        n_specs = 16
         plan = FaultPlan(
             seed=0,
             actions=(
-                FaultAction(kind="coordinator_restart", site="coordinator.loop", nth=4),
+                FaultAction(
+                    kind="coordinator_restart", site="coordinator.loop", nth=n_specs
+                ),
             ),
         )
-        report = run_chaos(seed=0, workers=2, n_specs=6, lease_s=0.5, plan=plan)
+        report = run_chaos(seed=0, workers=2, n_specs=n_specs, lease_s=1.0, plan=plan)
         assert report.restarts == 1
         assert report.identical, report.summary()
-        assert report.journal_outstanding == 0  # nothing left dangling
-        assert ("coordinator.loop", 4, "coordinator_restart") in report.fired
+        assert report.resumed_from_cache >= 1  # finished specs not re-run
+        assert ("coordinator.loop", n_specs, "coordinator_restart") in report.fired
 
     def test_restart_plus_worker_faults(self):
         """The compound case: worker faults *and* a coordinator restart

@@ -7,7 +7,8 @@ aggregation path a single-process run uses — and killing more yields a
 clean :class:`LiveMeasurementError`, never a hang.
 
 Also covered here: the seeded decorrelated-jitter backoff shared by the
-reconnect and respawn paths, the assignment partitioning that makes the
+reconnect and respawn paths, the respawn budget's respawn-vs-lost
+sequence, the assignment partitioning that makes the
 fleet's offered load compose exactly (per-instance RNG streams keyed by
 name, not by process), live scenario routing with per-(fleet, pool)
 group metrics, and the live chaos harness.
@@ -27,12 +28,13 @@ from repro.live import (
     parse_target,
     serve_in_thread,
 )
-from repro.live.backoff import (
+from repro.exec.backoff import (
     RESPAWN_CHANNEL,
     backoff_schedule,
     jitter_rng,
     next_delay,
 )
+from repro.live import FleetRun
 from repro.live.driver import (
     LiveBackend,
     assignments_for_spec,
@@ -114,6 +116,54 @@ class TestBackoff:
         # Connection slots are small non-negative ints; the respawn
         # channel must never collide with one.
         assert RESPAWN_CHANNEL > 10_000
+
+
+# ----------------------------------------------------------------------
+# respawn budget (the supervisor's failure state machine, no processes)
+# ----------------------------------------------------------------------
+#: Slot state after each consecutive failure (up to four, until the
+#: slot is lost), per respawn budget: the budget alone decides
+#: respawn vs lost.
+RESPAWN_TABLE = {
+    0: ("lost",),
+    1: ("respawning", "lost"),
+    2: ("respawning", "respawning", "lost"),
+    3: ("respawning", "respawning", "respawning", "lost"),
+}
+
+
+class TestRespawnBudget:
+    @pytest.mark.parametrize("attempts", sorted(RESPAWN_TABLE))
+    def test_failure_sequence(self, attempts):
+        spec = fleet_spec(num_instances=1)
+        options = fleet_options(
+            "tcp://127.0.0.1:1",
+            processes=1,
+            respawn_attempts=attempts,
+            respawn_backoff_base_s=0.1,
+            respawn_backoff_cap_s=2.0,
+            max_lost_client_fraction=1.0,
+        )
+        run = FleetRun(spec, options, assignments_for_spec(spec, options))
+        (slot,) = run.slots
+        states, delays = [], []
+        for failure in range(4):
+            run._handle_failure(slot, f"failure {failure}", now=float(failure))
+            states.append(slot.state)
+            if slot.state == "lost":
+                break
+            delays.append(slot.respawn_at - failure)
+        assert tuple(states) == RESPAWN_TABLE[attempts]
+        assert slot.respawns_used == attempts
+        assert run.lost_clients == 1
+        # Respawn delays follow the seeded schedule on the respawn channel.
+        expect = backoff_schedule(
+            jitter_rng(spec.seed, spec.run_index, 0, RESPAWN_CHANNEL),
+            0.1,
+            2.0,
+            attempts=attempts + 1,
+        )
+        assert delays == pytest.approx(expect)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.exec.cache import ResultCache
 from repro.exec.executors import SerialExecutor, _cacheable
-from repro.exec.spec import RunSpec, run_spec
+from repro.exec.spec import RunSpec
 from repro.measure import api as mapi
 from repro.measure import (
     BenchCapabilities,
@@ -350,20 +350,20 @@ class TestFacade:
 
 
 class TestDeprecatedSpellings:
-    def test_run_spec_warns_and_delegates(self):
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            legacy = run_spec(spec)
-        fresh = measure_spec(spec)
-        assert legacy.metrics == fresh.metrics
+    def test_run_spec_is_removed(self):
+        import repro.exec
+        import repro.exec.spec
 
-    def test_run_scenario_spec_warns(self):
-        from repro.scenarios.runtime import run_scenario_spec
+        assert not hasattr(repro.exec.spec, "run_spec")
+        assert "run_spec" not in repro.exec.__all__
+        assert "run_spec" not in repro.__all__
 
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario_spec(spec)
-        assert legacy.metrics == measure_spec(spec).metrics
+    def test_run_scenario_spec_is_removed(self):
+        import repro.scenarios
+        import repro.scenarios.runtime
+
+        assert not hasattr(repro.scenarios.runtime, "run_scenario_spec")
+        assert "run_scenario_spec" not in repro.scenarios.__all__
 
     def test_measure_spec_does_not_warn(self):
         with warnings.catch_warnings():

@@ -39,7 +39,7 @@ from repro.core.config import workload_from_json
 # helpers
 # ----------------------------------------------------------------------
 def bench_shaped_spec(samples: int = 100) -> RunSpec:
-    """The ``scripts/bench_sim.py`` spec shape, test-sized."""
+    """A single-server memcached spec, test-sized."""
     return RunSpec(
         workload=MemcachedWorkload(),
         target_utilization=0.7,
@@ -326,11 +326,13 @@ class TestCompilerAutoPartitions:
         assert auto_partitions(make_scenario(pools, fleets, 1)) is None
 
     def test_compiled_specs_carry_the_auto_partitioning(self):
+        """auto_partitions is opt-in: a compiled multi-rack spec runs
+        on the plain kernel."""
         from repro.scenarios.compiler import compile_scenario
 
         pools, fleets = TOPOLOGIES["two_racks"]
         (spec,) = compile_scenario(make_scenario(pools, fleets, 1))
-        assert spec.partitions == 2
+        assert spec.partitions is None
 
 
 # ----------------------------------------------------------------------

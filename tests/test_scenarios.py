@@ -19,9 +19,9 @@ from repro.exec import (
     RunSpec,
     SerialExecutor,
     execute_specs,
-    run_spec,
     spec_digest,
 )
+from repro.measure import measure_spec
 from repro.scenarios import (
     AntagonistSpec,
     ClientFleetSpec,
@@ -351,7 +351,7 @@ class TestScenarioRuns:
     def test_multi_pool_run_reports_per_group_metrics(self):
         (spec,) = compile_scenario(two_pool_scenario())
         assert spec.scenario is not None
-        result = run_spec(spec)
+        result = measure_spec(spec)
         assert set(result.group_metrics) == {("fa", "pa"), ("fb", "pb")}
         for group, metrics in result.group_metrics.items():
             assert set(metrics) == {0.5, 0.95, 0.99}
@@ -363,7 +363,7 @@ class TestScenarioRuns:
 
     def test_scenario_run_is_deterministic(self):
         (spec,) = compile_scenario(two_pool_scenario(keep_raw=True))
-        a, b = run_spec(spec), run_spec(spec)
+        a, b = measure_spec(spec), measure_spec(spec)
         assert a.metrics == b.metrics
         assert a.group_metrics == b.group_metrics
         assert (a.raw_samples() == b.raw_samples()).all()
@@ -385,7 +385,7 @@ class TestScenarioRuns:
             fleet["measurement_samples_per_instance"] = 300
         spec = scenario_from_json(doc)
         quiet, noisy = (
-            run_spec(compiled) for compiled in compile_scenario(spec)
+            measure_spec(compiled) for compiled in compile_scenario(spec)
         )
         group = ("front", "cache")
         assert noisy.group_metrics[group][0.99] > quiet.group_metrics[group][0.99]
