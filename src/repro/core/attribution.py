@@ -20,6 +20,7 @@ This is the paper's Section IV/V pipeline, end to end:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -157,10 +158,16 @@ class AttributionReport:
         return float(self.fits[tau].predict(X)[0])
 
     def all_config_estimates(self, tau: float) -> Dict[Tuple[int, ...], float]:
-        """Figs. 7/9: estimated latency for every configuration."""
-        design = FactorialDesign(self.factors)
+        """Figs. 7/9: estimated latency for every configuration.
+
+        One design matrix serves every configuration; each is predicted
+        from its own one-row slice, the same product
+        :meth:`estimated_latency` computes.
+        """
+        configs, X = _config_design(tuple(self.factors))
+        fit = self.fits[tau]
         return {
-            cfg: self.estimated_latency(cfg, tau) for cfg in design.configs()
+            cfg: float(fit.predict(X[i : i + 1])[0]) for i, cfg in enumerate(configs)
         }
 
     def factor_average_impact(self, factor: str, tau: float) -> float:
@@ -200,6 +207,18 @@ class AttributionReport:
                 }
             )
         return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _config_design(
+    factors: Tuple[Factor, ...]
+) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+    """Every configuration of the full factorial over ``factors`` and
+    its full-interaction design matrix (read-only: shared by reports)."""
+    configs = FactorialDesign(factors).configs()
+    X, _ = model_matrix(configs, [f.name for f in factors])
+    X.flags.writeable = False
+    return configs, X
 
 
 class AttributionStudy:

@@ -86,12 +86,17 @@ def render_estimates(result: EstimatesResult, figure: str) -> str:
 
 def render_impacts(result: EstimatesResult, figure: str) -> str:
     """Figs. 8/10: average impact of turning each factor high."""
+    impacts = {
+        (load, tau): result.factor_impacts(load, tau)
+        for tau in PERCENTILES
+        for load in ("low", "high")
+    }
     rows: List[List[object]] = []
     for factor in result.reports["high"].names:
         row: List[object] = [factor]
         for tau in PERCENTILES:
             for load in ("low", "high"):
-                row.append(round(result.factor_impacts(load, tau)[factor], 1))
+                row.append(round(impacts[(load, tau)][factor], 1))
         rows.append(row)
     headers = ["factor"]
     for tau in PERCENTILES:

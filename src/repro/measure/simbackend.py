@@ -47,12 +47,18 @@ class _SimRun:
         self.options = options if options is not None else SimOptions()
 
     def drive(self):
+        # Pause the collector from build to RunResult: the finished
+        # bench is one large cyclic graph, and a collection mid-build
+        # would promote it to the old generation, where it waits for a
+        # rare full pass.  Kept young, it is freed by the next gen-0
+        # collection after the run.
         spec = self.spec
-        if spec.scenario is not None:
-            from ..scenarios.runtime import _execute_scenario_spec
+        with gc_paused():
+            if spec.scenario is not None:
+                from ..scenarios.runtime import _execute_scenario_spec
 
-            return _execute_scenario_spec(spec)
-        return _drive_single_server(spec)
+                return _execute_scenario_spec(spec)
+            return _drive_single_server(spec)
 
 
 class SimBackend:
@@ -151,8 +157,7 @@ def _drive_single_server(spec):
     """
     t0 = time.perf_counter()
     bench, instances = build_single_server(spec)
-    with gc_paused():
-        bench.run_to_completion(instances)
+    bench.run_to_completion(instances)
     return single_server_result(spec, bench, instances, time.perf_counter() - t0)
 
 

@@ -28,7 +28,6 @@ from typing import Dict, List
 from ..core.aggregation import aggregate_quantile, grouped_quantiles
 from ..core.arrival import arrival_from_spec
 from ..core.treadmill import TreadmillConfig, TreadmillInstance
-from ..sim.engine import gc_paused
 from ..sim.partition import partition_for
 from .bench import ScenarioBench
 from .schema import ScenarioSpec
@@ -92,8 +91,7 @@ def _execute_scenario_spec(spec) -> "RunResult":
     bench.start_antagonists()
     for inst in instances:
         inst.start()
-    with gc_paused():
-        bench.run_to_completion(instances)
+    bench.run_to_completion(instances)
 
     reports = [inst.report() for inst in instances]
     server_utils: Dict[str, float] = {}

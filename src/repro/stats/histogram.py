@@ -304,7 +304,8 @@ class AdaptiveHistogram:
         One cumsum + searchsorted replaces the per-q linear walk over
         the bins, and the raw overflow is sorted once instead of per q
         — metric extraction queries dense grids (thousands of points),
-        where the scalar walk dominates report time.
+        where the scalar walk dominates report time.  While calibrating,
+        one ``np.quantile`` call takes the whole grid.
         """
         qarr = np.asarray(qs, dtype=float)
         if qarr.size == 0:
@@ -314,8 +315,7 @@ class AdaptiveHistogram:
         if self._count == 0:
             raise ValueError("cannot take a quantile of an empty histogram")
         if self._calibrating:
-            raw = np.asarray(self._raw)
-            return [float(np.quantile(raw, q)) for q in qarr.tolist()]
+            return np.quantile(np.asarray(self._raw), qarr).tolist()
         counts = self._counts
         # int64 bin counts: the cumulative sums are exact integers
         # (representable in float64), so every comparison and the

@@ -156,14 +156,20 @@ def fit_with_inference(
     if rng is None:
         rng = np.random.default_rng(0)
     if response == "run_quantile":
-        build = lambda exps: run_quantile_design(exps, names, tau, max_order)
+        X, y, columns = run_quantile_design(experiments, names, tau, max_order)
+        spans = None  # one row per experiment
         eff_tau = fit_tau
     elif response == "raw":
-        build = lambda exps: expand_design(exps, names, max_order)
+        X, y, columns = expand_design(experiments, names, max_order)
+        # Each experiment's samples are one contiguous span of rows.
+        ends = np.cumsum([exp.samples.size for exp in experiments])
+        spans = [
+            np.arange(end - exp.samples.size, end)
+            for exp, end in zip(experiments, ends)
+        ]
         eff_tau = tau
     else:
         raise ValueError(f"unknown response design {response!r}")
-    X, y, columns = build(experiments)
     result = fit_quantile_regression(
         X, y, eff_tau, columns=columns, method=method, perturb_sd=perturb_sd, rng=rng
     )
@@ -171,18 +177,25 @@ def fit_with_inference(
     r2 = pseudo_r2(y, X @ result.coefficients, eff_tau)
 
     if n_boot > 0:
-        by_cell: Dict[Tuple[int, ...], List[ExperimentSample]] = {}
-        for exp in experiments:
-            by_cell.setdefault(tuple(exp.coded), []).append(exp)
+        # Each resample is a set of row indices into the design built
+        # above: the same draws as resampling the experiments and
+        # rebuilding the design, without recomputing run quantiles or
+        # model matrices.
+        by_cell: Dict[Tuple[int, ...], List[int]] = {}
+        for i, exp in enumerate(experiments):
+            by_cell.setdefault(tuple(exp.coded), []).append(i)
+        cells = [np.array(members) for members in by_cell.values()]
         boots = np.empty((n_boot, len(columns)))
         for b in range(n_boot):
-            resampled: List[ExperimentSample] = []
-            for cell_exps in by_cell.values():
-                idx = rng.integers(0, len(cell_exps), size=len(cell_exps))
-                resampled.extend(cell_exps[i] for i in idx)
-            Xb, yb, _ = build(resampled)
+            picked = np.concatenate(
+                [m[rng.integers(0, m.size, size=m.size)] for m in cells]
+            )
+            if spans is None:
+                rows = picked
+            else:
+                rows = np.concatenate([spans[i] for i in picked])
             fit = fit_quantile_regression(
-                Xb, yb, eff_tau, method=method, perturb_sd=perturb_sd, rng=rng
+                X[rows], y[rows], eff_tau, method=method, perturb_sd=perturb_sd, rng=rng
             )
             boots[b] = fit.coefficients
         stderr = boots.std(axis=0, ddof=1)
@@ -215,11 +228,18 @@ def screen_factor(
     levels = np.array([exp.coded[factor_index] for exp in experiments])
     if levels.min() == levels.max():
         raise ValueError("factor has only one level in these experiments")
-    samples = [exp.samples for exp in experiments]
+    # All samples concatenated once, each tagged with its experiment's
+    # index: a labelling selects its hi/lo sets by mask, in the same
+    # order as concatenating the selected experiments.
+    samples = np.concatenate([exp.samples for exp in experiments])
+    owner = np.repeat(
+        np.arange(len(experiments)), [exp.samples.size for exp in experiments]
+    )
 
     def statistic(labels: np.ndarray) -> float:
-        hi = np.concatenate([s for s, l in zip(samples, labels) if l == 1])
-        lo = np.concatenate([s for s, l in zip(samples, labels) if l == 0])
+        per_sample = labels[owner]
+        hi = samples[per_sample == 1]
+        lo = samples[per_sample == 0]
         return float(np.quantile(hi, tau) - np.quantile(lo, tau))
 
     observed = abs(statistic(levels))

@@ -247,6 +247,41 @@ class TestVectorizedQuantiles:
         qs = [0.1, 0.5, 0.99]
         assert h.quantiles(qs) == [h.quantile(q) for q in qs]
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 999])
+    def test_dense_grid_while_calibrating(self, n):
+        """The 2,000-point grid metric extraction queries."""
+        h = AdaptiveHistogram(num_bins=32, calibration_size=1000)
+        self._fill(h, np.random.default_rng(n), n)
+        assert h.calibrating
+        qs = [0.0] + np.linspace(0.0005, 0.9995, 2000).tolist() + [1.0]
+        assert h.quantiles(qs) == [h.quantile(q) for q in qs]
+
+    @given(
+        raw=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1e6),
+                st.sampled_from([0.0, 1.0, 42.5]),  # ties
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        qs=st.lists(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from([0.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_calibrating_batch_equals_scalar_property(self, raw, qs):
+        h = AdaptiveHistogram(num_bins=16, calibration_size=1000)
+        for x in raw:
+            h.add(x)
+        assert h.calibrating
+        assert h.quantiles(qs) == [h.quantile(q) for q in qs]
+
     def test_record_many_equals_scalar_adds(self):
         rng = np.random.default_rng(2)
         data = rng.lognormal(4.0, 1.0, 3000)

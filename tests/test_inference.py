@@ -1,5 +1,7 @@
 """Unit tests for QR inference: pseudo-R², bootstrap, screening."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,69 @@ class TestScreenFactor:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             screen_factor([], 0, 0.5)
+
+
+def _pin_experiments(seed=11):
+    """A shuffled 2-factor set with unequal per-run sample counts, so
+    bootstrap cells interleave and raw-response spans differ in length."""
+    rng = np.random.default_rng(seed)
+    design = FactorialDesign([Factor("a", "lo", "hi"), Factor("b", "lo", "hi")])
+    exps = []
+    for cfg in design.configs():
+        base = 100.0 + 40.0 * cfg[0] - 10.0 * cfg[1] + 15.0 * cfg[0] * cfg[1]
+        for _ in range(4):
+            n = int(rng.integers(20, 60))
+            exps.append(
+                ExperimentSample(
+                    coded=cfg,
+                    samples=base + rng.normal(0, 1.0) + rng.exponential(5.0, n),
+                )
+            )
+    return [exps[i] for i in rng.permutation(len(exps))]
+
+
+def _fit_digest(fit, r2):
+    h = hashlib.sha256()
+    for arr in (fit.coefficients, fit.stderr, fit.p_values):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    h.update(np.float64(r2).tobytes())
+    return h.hexdigest()
+
+
+class TestInferencePins:
+    """Exact pins of the bootstrap's numbers: how resamples are built
+    (row indices into one design vs rebuilt designs) must never change
+    a coefficient, standard error, p-value or pseudo-R² bit."""
+
+    @pytest.mark.parametrize(
+        "response,max_order,method,digest",
+        [
+            ("run_quantile", None, "saturated",
+             "14b14df2a5fe74d7c7eda697829d9ed7dfb8e3d4b2539f0e70989c92ffd7ae38"),
+            ("raw", None, "saturated",
+             "a08975cbfb84db4d16f39819f51f55eaaecde1184b8fef345370c1f26b11f042"),
+            ("run_quantile", 1, "lp",
+             "5a892420d5ec093cc0fd797e5dd90ba63e6eeec906e1bef3793a5fdb48c3c16a"),
+            ("raw", 1, "lp",
+             "0783ab5ce7d07c8dca29de330b119197d02656c7688ada2fbeb8544ce1a0350a"),
+        ],
+    )
+    def test_fit_with_inference_is_pinned(self, response, max_order, method, digest):
+        exps = _pin_experiments()
+        fit, r2 = fit_with_inference(
+            exps,
+            ["a", "b"],
+            0.9,
+            max_order=max_order,
+            n_boot=25,
+            rng=np.random.default_rng(5),
+            response=response,
+        )
+        assert fit.method == method
+        assert _fit_digest(fit, r2) == digest
+
+    def test_screen_factor_p_values_are_pinned(self):
+        exps = _pin_experiments(seed=12)
+        rng = np.random.default_rng(3)
+        p = [screen_factor(exps, i, 0.9, n_perm=150, rng=rng) for i in (0, 1)]
+        assert p == [0.006622516556291391, 0.152317880794702]

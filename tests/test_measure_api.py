@@ -216,6 +216,25 @@ class TestDispatch:
         assert set(result.metrics) == {0.5, 0.95, 0.99}
         assert result.metrics[0.5] > 0
 
+    @pytest.mark.parametrize("scenario", [False, True])
+    def test_finished_run_is_freed_young(self, scenario):
+        """A finished run's cyclic bench graph is collected by gen 0,
+        not promoted to wait for a full pass (peak RSS would otherwise
+        grow with the number of runs in one process)."""
+        import gc
+
+        if scenario:
+            from repro.scenarios import compile_scenario, load_scenario
+
+            spec = compile_scenario(load_scenario("mcrouter_fanout"))[0]
+        else:
+            spec = small_spec(num_instances=4, measurement_samples_per_instance=2000)
+        assert gc.isenabled()
+        gc.collect()
+        measure_spec(spec)
+        gc.collect(0)
+        assert gc.collect() < 50
+
     def test_default_backend_is_sim(self):
         assert small_spec().backend == "sim"
 
