@@ -72,11 +72,9 @@ from .exec import (
     ResultCache,
     RunSpec,
     SerialExecutor,
-    available_backends,
     execute_specs,
     execution,
     make_executor,
-    register_backend,
 )
 from .facade import run
 from .guards import (
@@ -102,7 +100,7 @@ from .measure import (
 from .sim import HardwareSpec
 from .workloads import McrouterWorkload, MemcachedWorkload
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "run",
@@ -131,8 +129,6 @@ __all__ = [
     "LocalClusterExecutor",
     "ResultCache",
     "make_executor",
-    "register_backend",
-    "available_backends",
     "execute_specs",
     "execution",
     "AttributionConfig",

@@ -4,7 +4,7 @@ Usage::
 
     repro list                     # artifact ids and titles
     repro run fig7 --scale default # regenerate one artifact
-    repro run tab4 --jobs 4        # factorial sweep on 4 cores
+    repro run tab4 --workers 4     # factorial sweep on 4 cores
     repro run fig12 --cache-dir ~/.cache/repro   # reuse shared runs
     repro all --scale quick        # regenerate everything
     repro hardware                 # show the simulated Table II spec
@@ -30,20 +30,17 @@ Scales: ``quick`` (seconds, smoke), ``default`` (tens of seconds, what
 the benchmark suite uses), ``paper`` (the paper's replication counts;
 expect a long run).
 
-Execution flags (both ``run`` and ``all``):
+Execution flags (``run``, ``all`` and ``scenario run``):
 
-* ``--executor NAME`` — pick a registered execution backend:
-  ``serial`` (default), ``process`` (local pool), ``cluster``
-  (socket-based work-stealing cluster with local workers), or any
-  third-party registration.  All backends are byte-identical for
-  equal seeds; see ``repro backends``.
+* ``--executor NAME`` — pick an execution backend: ``serial``,
+  ``process`` (local pool) or ``cluster`` (socket-based
+  work-stealing cluster with local workers).  All backends are
+  byte-identical for equal seeds; see ``repro backends``.
 * ``--workers N`` — size the chosen backend (pool processes or
-  cluster workers).
-* ``--jobs N`` — legacy spelling of ``--executor process --workers N``
-  (``--jobs 1`` is the serial path).
+  cluster workers).  Without ``--executor``, ``N > 1`` picks the
+  process pool and ``N = 1`` (or no value) runs serially.
 * ``--cache-dir PATH`` — content-addressed result cache; identical
   experiment specs are simulated once per machine, ever.
-* ``--no-cache`` — ignore any configured cache directory.
 
 Resilience flags (honored by backends that support them):
 
@@ -68,13 +65,29 @@ import sys
 import time
 from typing import List, Optional
 
-from .exec.api import available_backends, backend_info
-from .exec.executors import execution
+from .exec.executors import EXECUTORS, execution
 from .experiments.common import SCALES
 from .experiments.runner import EXPERIMENTS, experiment_ids, run_experiment
 from .sim.machine import HardwareSpec
 
 __all__ = ["main", "build_parser"]
+
+
+def _int_at_least(floor: int):
+    """An argparse ``type=`` accepting integers >= ``floor``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,25 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--executor",
             default=None,
-            metavar="NAME",
+            choices=EXECUTORS,
             help=(
-                "execution backend: serial, process, cluster, or any "
-                "registered third-party backend (see `repro backends`)"
+                "execution backend (default: serial, or process when "
+                "--workers is above 1; see `repro backends`)"
             ),
         )
         p.add_argument(
             "--workers",
-            type=int,
+            type=_int_at_least(1),
             default=None,
             metavar="N",
-            help="worker count for the chosen backend (pool processes / cluster workers)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="legacy: worker processes for independent experiments (default: 1, serial)",
+            help=(
+                "worker count (pool processes / cluster workers); without "
+                "--executor, N > 1 runs on the local process pool"
+            ),
         )
         p.add_argument(
             "--cache-dir",
@@ -121,24 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="content-addressed result cache directory (default: no cache)",
         )
         p.add_argument(
-            "--no-cache",
-            action="store_true",
-            help="disable the result cache even if --cache-dir is given",
-        )
-        p.add_argument(
             "--retries",
-            type=int,
+            type=_int_at_least(0),
             default=None,
             metavar="N",
             help=(
                 "per-spec retry budget for transient failures (crashed "
-                "workers, expired leases, transport errors); backends "
-                "without retry support ignore it"
+                "workers, expired leases, transport errors); the serial "
+                "backend ignores it"
             ),
         )
         p.add_argument(
             "--min-healthy-workers",
-            type=int,
+            type=_int_at_least(0),
             default=None,
             metavar="N",
             help=(
@@ -187,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("hardware", help="print the simulated hardware spec (Table II)")
     sub.add_parser(
         "backends",
-        help="list the registered execution and measurement backends",
+        help="list the execution and measurement backends",
     )
 
     live_p = sub.add_parser(
@@ -428,7 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, metavar="N", help="fault-plan seed"
     )
     chaos_p.add_argument(
-        "--workers", type=int, default=2, metavar="N", help="cluster workers"
+        "--workers",
+        type=_int_at_least(1),
+        default=2,
+        metavar="N",
+        help="cluster workers",
     )
     chaos_p.add_argument(
         "--specs", type=int, default=10, metavar="N", help="specs in the batch"
@@ -485,12 +493,6 @@ def _cmd_all(scale: str) -> int:
     return 0
 
 
-def _effective_cache_dir(args: argparse.Namespace) -> Optional[str]:
-    if getattr(args, "no_cache", False):
-        return None
-    return getattr(args, "cache_dir", None)
-
-
 def _cmd_hardware() -> int:
     for key, value in HardwareSpec().describe().items():
         print(f"{key:>10}: {value}")
@@ -500,17 +502,12 @@ def _cmd_hardware() -> int:
 def _cmd_backends() -> int:
     from .measure.api import available_measurement_backends, measurement_backend_info
 
-    exec_names = available_backends()
     meas_names = available_measurement_backends()
-    width = max(len(n) for n in (*exec_names, *meas_names))
+    width = max(len(n) for n in (*EXECUTORS, *meas_names))
 
     print("execution backends (how runs are scheduled):")
-    for name in exec_names:
-        info = backend_info(name)
-        options = ", ".join(f.name for f in dataclasses.fields(info.options))
-        print(f"  {name.ljust(width)}  {info.summary}")
-        if options:
-            print(f"  {' ' * width}  options: {options}")
+    for name in EXECUTORS:
+        print(f"  {name}")
 
     print()
     print("measurement backends (what each run measures):")
@@ -703,8 +700,7 @@ def _result_fingerprint(result) -> str:
 
 
 def _cmd_scenario_run(scenario, args: argparse.Namespace) -> int:
-    from .exec.api import make_executor
-    from .exec.executors import execute_specs
+    from .exec.executors import execute_specs, make_executor
     from .scenarios import compile_scenario
 
     specs = compile_scenario(scenario)
@@ -845,18 +841,15 @@ def _load_fault_plan(text: Optional[str]):
 
 
 def _execution_scope(args: argparse.Namespace):
-    """The scoped execution defaults implied by the CLI flags."""
-    backend = getattr(args, "executor", None)
-    if backend is not None:
-        backend_info(backend)  # fail fast on unknown names
+    """The scoped execution defaults implied by the CLI flags
+    (``args.fault_plan`` is already parsed by :func:`main`)."""
     return execution(
-        jobs=args.jobs,
-        cache_dir=_effective_cache_dir(args),
-        backend=backend,
-        workers=getattr(args, "workers", None),
-        retries=getattr(args, "retries", None),
-        min_healthy_workers=getattr(args, "min_healthy_workers", None),
-        fault_plan=_load_fault_plan(getattr(args, "fault_plan", None)),
+        cache_dir=args.cache_dir,
+        backend=args.executor,
+        workers=args.workers,
+        retries=args.retries,
+        min_healthy_workers=args.min_healthy_workers,
+        fault_plan=args.fault_plan,
     )
 
 
@@ -975,7 +968,13 @@ def _guard_scope(args: argparse.Namespace):
 def main(argv: Optional[List[str]] = None) -> int:
     from .guards import GuardFailureError
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "fault_plan", None) is not None:
+        try:
+            args.fault_plan = _load_fault_plan(args.fault_plan)
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            parser.error(f"argument --fault-plan: {exc}")
     try:
         return _dispatch(args)
     except GuardFailureError as exc:
@@ -1026,14 +1025,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             return _cmd_scenario_validate(args.scenario)
         if args.scenario_command == "run":
             scenario = _resolve_scenario(args.scenario)
-            if scenario.fault_plan is not None and not getattr(
-                args, "fault_plan", None
-            ):
+            if scenario.fault_plan is not None and args.fault_plan is None:
                 # The scenario's embedded fault plan becomes the
                 # execution-scope default unless --fault-plan overrides.
                 import json as _json
 
-                args.fault_plan = _json.dumps(dict(scenario.fault_plan))
+                embedded = _json.dumps(dict(scenario.fault_plan))
+                args.fault_plan = _load_fault_plan(embedded)
             with _execution_scope(args), _guard_scope(args):
                 return _cmd_scenario_run(scenario, args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -20,16 +20,14 @@ Public surface
 --------------
 This module re-exports the **stable** names only; anything not listed
 in ``__all__`` (module internals, the wire protocol, coordinator
-plumbing) is private and may change without notice.  The backend
-contract for third-party executor implementers is documented in
-``src/repro/exec/API.md``.
+plumbing) is private and may change without notice.  The executor
+contract is documented in ``src/repro/exec/API.md``.
 
 * the work unit: ``RunSpec``, ``RunResult``, ``spec_digest``,
   ``metric_samples``, ``SPEC_SCHEMA``
 * the executor API: ``Executor`` (protocol), ``Capabilities``,
-  ``make_executor``, ``register_backend``, ``available_backends``,
-  per-backend options (``SerialOptions``/``ProcessOptions``/
-  ``ClusterOptions``)
+  ``EXECUTORS`` (the backend names), ``make_executor``,
+  ``ClusterOptions``
 * backends: ``SerialExecutor``, ``ParallelExecutor``,
   ``ClusterExecutor``, ``LocalClusterExecutor``
 * caching: ``ResultCache``, ``cache_version``, ``CACHE_SCHEMA``
@@ -43,22 +41,10 @@ contract for third-party executor implementers is documented in
 * errors: ``ExecError``, ``ExecTimeout``, ``SimulatedCrash``
 """
 
-from .api import (
-    BackendInfo,
-    Capabilities,
-    ClusterOptions,
-    Executor,
-    HealthPolicy,
-    ProcessOptions,
-    RetryPolicy,
-    SerialOptions,
-    available_backends,
-    backend_info,
-    make_executor,
-    register_backend,
-)
+from .api import Capabilities, ClusterOptions, Executor, HealthPolicy, RetryPolicy
 from .cache import CACHE_SCHEMA, QUARANTINE_DIR, ResultCache, cache_version
 from .executors import (
+    EXECUTORS,
     ExecError,
     ExecTimeout,
     ParallelExecutor,
@@ -67,6 +53,7 @@ from .executors import (
     execute_specs,
     execution,
     get_execution_defaults,
+    make_executor,
     set_execution_defaults,
 )
 from .distributed import (
@@ -90,14 +77,9 @@ __all__ = [
     # executor API
     "Executor",
     "Capabilities",
-    "BackendInfo",
-    "SerialOptions",
-    "ProcessOptions",
     "ClusterOptions",
+    "EXECUTORS",
     "make_executor",
-    "register_backend",
-    "available_backends",
-    "backend_info",
     # backends
     "SerialExecutor",
     "ParallelExecutor",

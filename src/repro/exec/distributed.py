@@ -56,7 +56,7 @@ Latencies"), so failures are *classified and contained*:
   exercisable through explicit hook points (``injector.fire(site)``),
   no-ops in production, driven by :mod:`repro.faults`.
 
-Registered in the backend registry as ``"cluster"`` with
+Built by ``make_executor("cluster", ...)`` from
 :class:`~repro.exec.api.ClusterOptions`.
 """
 
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from queue import Empty, Queue
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .api import Capabilities, ClusterOptions, HealthPolicy, RetryPolicy, register_backend
+from .api import Capabilities, ClusterOptions, HealthPolicy, RetryPolicy
 from .backoff import jitter_rng, next_delay
 from .cache import ResultCache
 from .executors import ExecError, ParallelExecutor, _emit, _ExecutorBase
@@ -982,15 +982,7 @@ class ClusterExecutor(_ExecutorBase):
             self._coordinator = None
 
     def capabilities(self) -> Capabilities:
-        return Capabilities(
-            backend="cluster",
-            parallel=True,
-            distributed=True,
-            deterministic=True,
-            workers=self.options.workers or None,
-            supports_timeout=False,
-            supports_retry=True,
-        )
+        return Capabilities(backend="cluster", workers=self.options.workers or None)
 
     # -- degradation ---------------------------------------------------
     def _fallback_executor(self) -> _ExecutorBase:
@@ -1190,22 +1182,3 @@ class LocalClusterExecutor(ClusterExecutor):
         super().close()  # closes sockets: workers see EOF and exit
         reap(self._procs, grace_s=5.0)
         self._procs = []
-
-
-# ----------------------------------------------------------------------
-# registry hookup
-# ----------------------------------------------------------------------
-def _cluster_factory(
-    options: object,
-    task: Callable[[object], object],
-    cache: Optional[ResultCache],
-) -> ClusterExecutor:
-    return LocalClusterExecutor(options=options, task=task, cache=cache)
-
-
-register_backend(
-    "cluster",
-    _cluster_factory,
-    ClusterOptions,
-    summary="socket-based work-stealing cluster (local worker subprocesses)",
-)

@@ -27,15 +27,16 @@ function on the same input is futile — they propagate immediately.
 An optional :class:`~repro.exec.cache.ResultCache` short-circuits
 execution for specs whose digest is already stored.
 
-Module-level defaults (``set_execution_defaults`` / the ``execution``
-context manager) let entry points like the CLI pick ``--jobs`` and
-``--cache-dir`` once, while every driver that was not handed an
-explicit executor inherits them via :func:`default_executor`.
+The three backends are picked by name (:data:`EXECUTORS`) through
+:func:`make_executor`.  Module-level defaults (``set_execution_defaults``
+/ the ``execution`` context manager) let entry points like the CLI pick
+``--executor``, ``--workers`` and ``--cache-dir`` once, while every
+driver that was not handed an explicit executor inherits them via
+:func:`default_executor`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from collections import deque
@@ -44,16 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from .api import (
-    Capabilities,
-    HealthPolicy,
-    ProcessOptions,
-    RetryPolicy,
-    SerialOptions,
-    backend_info,
-    make_executor,
-    register_backend,
-)
+from .api import Capabilities, ClusterOptions, HealthPolicy, RetryPolicy
 from ..measure.api import backend_is_deterministic, measure_spec
 from .cache import ResultCache
 from .progress import ProgressHook, RunEvent
@@ -63,6 +55,7 @@ __all__ = [
     "ExecTimeout",
     "SerialExecutor",
     "ParallelExecutor",
+    "EXECUTORS",
     "make_executor",
     "execute_specs",
     "default_executor",
@@ -226,13 +219,7 @@ class ParallelExecutor(_ExecutorBase):
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def capabilities(self) -> Capabilities:
-        return Capabilities(
-            backend="process",
-            parallel=True,
-            workers=self.max_workers,
-            supports_timeout=True,
-            supports_retry=True,
-        )
+        return Capabilities(backend="process", workers=self.max_workers)
 
     # -- pool lifecycle ------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -362,50 +349,50 @@ class ParallelExecutor(_ExecutorBase):
 
 
 # ----------------------------------------------------------------------
-# backend registration
+# construction by name & process-wide defaults
 # ----------------------------------------------------------------------
-def _serial_factory(
-    options: object,
-    task: Callable[[object], object],
-    cache: Optional[ResultCache],
-) -> SerialExecutor:
-    return SerialExecutor(task=task, cache=cache)
+#: The executor backends, by name.
+EXECUTORS = ("serial", "process", "cluster")
 
 
-def _process_factory(
-    options: ProcessOptions,
-    task: Callable[[object], object],
-    cache: Optional[ResultCache],
-) -> ParallelExecutor:
-    return ParallelExecutor(
-        max_workers=options.workers,
-        task=task,
-        cache=cache,
-        timeout=options.timeout,
-        retries=options.retries,
+def make_executor(
+    backend: str = "serial",
+    *,
+    task: Callable[[object], object] = measure_spec,
+    cache: Optional[ResultCache] = None,
+    cache_dir: Optional[os.PathLike] = None,
+    **options: object,
+) -> _ExecutorBase:
+    """Build an executor by backend name::
+
+        make_executor("process", workers=8, timeout=60.0, retries=2)
+        make_executor("cluster", workers=3, lease_s=30.0)
+
+    ``process`` accepts ``workers``, ``timeout`` and ``retries``;
+    ``cluster`` accepts the :class:`~repro.exec.api.ClusterOptions`
+    fields; ``serial`` takes no options.  An unknown name raises
+    ``ValueError``, an unknown option ``TypeError``.
+    """
+    if cache is None and cache_dir is not None:
+        cache = ResultCache(cache_dir)
+    if backend == "serial":
+        return SerialExecutor(task=task, cache=cache, **options)
+    if backend == "process":
+        workers = options.pop("workers", None)
+        return ParallelExecutor(workers, task=task, cache=cache, **options)
+    if backend == "cluster":
+        from .distributed import LocalClusterExecutor
+
+        return LocalClusterExecutor(
+            options=ClusterOptions(**options), task=task, cache=cache
+        )
+    raise ValueError(
+        f"unknown executor backend {backend!r}; available: {', '.join(EXECUTORS)}"
     )
 
 
-register_backend(
-    "serial",
-    _serial_factory,
-    SerialOptions,
-    summary="in-process, in-order execution (the reference semantics)",
-)
-register_backend(
-    "process",
-    _process_factory,
-    ProcessOptions,
-    summary="local process pool: bounded submission, timeout, crash retry",
-)
-
-
-# ----------------------------------------------------------------------
-# defaults & conveniences
-# ----------------------------------------------------------------------
 _UNSET = object()
 _DEFAULTS = {
-    "jobs": 1,
     "cache_dir": None,
     "backend": None,
     "workers": None,
@@ -416,7 +403,6 @@ _DEFAULTS = {
 
 
 def set_execution_defaults(
-    jobs: Optional[int] = None,
     cache_dir: object = _UNSET,
     backend: object = _UNSET,
     workers: object = _UNSET,
@@ -426,13 +412,12 @@ def set_execution_defaults(
 ) -> None:
     """Set process-wide execution defaults (used by the CLI flags).
 
-    ``backend`` names a registered executor backend (``"serial"``,
-    ``"process"``, ``"cluster"``, or a third-party registration); when
-    unset, ``jobs`` picks serial (1) vs process (>1) as before.
-    ``workers`` sizes the chosen backend.
+    ``backend`` names one of :data:`EXECUTORS`; when unset, ``workers``
+    picks serial (None or 1) or the process pool (more than 1).
+    ``workers`` also sizes a named backend.
 
-    Resilience defaults (applied only to backends whose options accept
-    them — see :func:`default_executor`):
+    Resilience defaults (applied by the backends that have them — see
+    :func:`default_executor`):
 
     * ``retries`` — attempt budget per spec (process ``retries`` /
       cluster ``retry.max_attempts``);
@@ -440,10 +425,6 @@ def set_execution_defaults(
     * ``fault_plan`` — a ``repro.faults.FaultPlan`` (or injector) for
       chaos testing; never set in production.
     """
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        _DEFAULTS["jobs"] = int(jobs)
     if cache_dir is not _UNSET:
         _DEFAULTS["cache_dir"] = cache_dir
     if backend is not _UNSET:
@@ -472,7 +453,6 @@ def get_execution_defaults() -> dict:
 
 @contextmanager
 def execution(
-    jobs: Optional[int] = None,
     cache_dir: object = _UNSET,
     backend: object = _UNSET,
     workers: object = _UNSET,
@@ -484,7 +464,6 @@ def execution(
     saved = get_execution_defaults()
     try:
         set_execution_defaults(
-            jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,
             workers=workers,
@@ -498,57 +477,38 @@ def execution(
         _DEFAULTS.update(saved)
 
 
-def _resilience_kwargs(backend: str) -> Dict[str, object]:
-    """Option kwargs for the configured resilience defaults, filtered
-    to the fields the backend's options dataclass actually accepts
-    (so ``--retries`` is meaningful for process *and* cluster while
-    staying a silent no-op for serial)."""
-    try:
-        valid = {f.name for f in dataclasses.fields(backend_info(backend).options)}
-    except Exception:  # unknown backend: let make_executor raise properly
-        return {}
-    kwargs: Dict[str, object] = {}
-    retries = _DEFAULTS["retries"]
-    if retries is not None:
-        if "retries" in valid:
-            kwargs["retries"] = int(retries)
-        elif "retry" in valid:
-            # Cluster semantics: N retries = N + 1 attempts, bounding
-            # both lost-work requeues and transient task errors.
-            kwargs["retry"] = RetryPolicy(max_attempts=int(retries) + 1)
-    floor = _DEFAULTS["min_healthy_workers"]
-    if floor is not None and "health" in valid:
-        kwargs["health"] = HealthPolicy(min_healthy_workers=int(floor))
-    fault_plan = _DEFAULTS["fault_plan"]
-    if fault_plan is not None and "fault_plan" in valid:
-        kwargs["fault_plan"] = fault_plan
-    return kwargs
-
-
 def default_executor(task: Callable[[object], object] = measure_spec) -> _ExecutorBase:
     """An executor honouring the process-wide defaults.
 
-    Resolution order: an explicitly configured ``backend`` wins;
-    otherwise ``jobs`` selects serial (1) or the process pool (>1),
-    exactly as before the registry existed.  Resilience defaults
-    (``retries`` / ``min_healthy_workers`` / ``fault_plan``) are
-    translated into the chosen backend's option fields when it has
-    them (:func:`_resilience_kwargs`).
+    An explicitly configured ``backend`` wins; otherwise ``workers``
+    selects serial (None or 1) or the process pool (more than 1).
+    ``retries`` reaches the process pool as ``retries`` and the cluster
+    as ``retry.max_attempts``; ``min_healthy_workers`` and
+    ``fault_plan`` reach the cluster only.
     """
-    backend = _DEFAULTS["backend"]
     workers = _DEFAULTS["workers"]
-    jobs = _DEFAULTS["jobs"]
-    cache_dir = _DEFAULTS["cache_dir"]
-    if backend is None:
-        backend = "serial" if jobs <= 1 else "process"
-        if workers is None and jobs > 1:
-            workers = jobs
-    if backend == "serial":
-        return make_executor("serial", task=task, cache_dir=cache_dir)
-    option_kwargs = _resilience_kwargs(backend)
-    if workers is not None:
-        option_kwargs["workers"] = workers
-    return make_executor(backend, task=task, cache_dir=cache_dir, **option_kwargs)
+    backend = _DEFAULTS["backend"] or ("process" if (workers or 1) > 1 else "serial")
+    retries = _DEFAULTS["retries"]
+    options: Dict[str, object] = {}
+    if backend == "process":
+        if retries is not None:
+            options["retries"] = retries
+    elif backend == "cluster":
+        if retries is not None:
+            # N retries = N + 1 attempts, bounding both lost-work
+            # requeues and transient task errors.
+            options["retry"] = RetryPolicy(max_attempts=retries + 1)
+        if _DEFAULTS["min_healthy_workers"] is not None:
+            options["health"] = HealthPolicy(
+                min_healthy_workers=_DEFAULTS["min_healthy_workers"]
+            )
+        if _DEFAULTS["fault_plan"] is not None:
+            options["fault_plan"] = _DEFAULTS["fault_plan"]
+    if backend != "serial" and workers is not None:
+        options["workers"] = workers
+    return make_executor(
+        backend, task=task, cache_dir=_DEFAULTS["cache_dir"], **options
+    )
 
 
 def execute_specs(

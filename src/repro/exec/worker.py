@@ -57,7 +57,6 @@ from .protocol import (
     recv_msg,
     resolve_task,
     send_msg,
-    task_reference,  # noqa: F401 - historical import location
 )
 
 __all__ = ["serve", "main"]

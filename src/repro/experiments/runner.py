@@ -6,9 +6,8 @@ pair; ``run_experiment`` executes one and returns the rendered report.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple
 
-from ..exec.executors import execution
 from . import (
     fig01_outstanding,
     findings,
@@ -138,31 +137,13 @@ def experiment_ids() -> List[str]:
     return list(EXPERIMENTS)
 
 
-def run_experiment(
-    exp_id: str,
-    scale: str = "default",
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
-    workers: Optional[int] = None,
-) -> str:
+def run_experiment(exp_id: str, scale: str = "default") -> str:
     """Run one experiment and return its rendered text report.
 
-    ``jobs`` / ``cache_dir`` / ``executor`` / ``workers`` scope the
-    process-wide execution defaults (:mod:`repro.exec`) for the
-    duration of the experiment: every driver it touches submits its
-    independent runs through the chosen backend (``executor`` names a
-    registered backend — ``"serial"``, ``"process"``, ``"cluster"``)
-    and/or the content-addressed result cache.
+    Its independent runs go through the process-wide execution defaults
+    (:func:`repro.exec.execution`), which the CLI sets from its flags.
     """
     exp = EXPERIMENTS.get(exp_id)
     if exp is None:
         raise KeyError(f"unknown experiment {exp_id!r} (have {experiment_ids()})")
-    if jobs is None and cache_dir is None and executor is None and workers is None:
-        result = exp.run(scale=scale)
-    else:
-        with execution(
-            jobs=jobs, cache_dir=cache_dir, backend=executor, workers=workers
-        ):
-            result = exp.run(scale=scale)
-    return exp.render(result)
+    return exp.render(exp.run(scale=scale))

@@ -48,8 +48,8 @@ def run(
     executor:
         How to schedule the runs: None uses the direct in-process path
         for a single spec and the process-wide default executor for
-        scenarios; a string names a registered executor backend
-        (``"serial"``, ``"process"``, ``"cluster"``); anything with a
+        scenarios; a string names an executor backend (``"serial"``,
+        ``"process"``, ``"cluster"``); anything with a
         ``.run(specs, progress=...)`` method is used as-is (and not
         closed).
     progress:
@@ -94,7 +94,7 @@ def run(
         return [_enforce_guards(r, strict_guards) for r in results]
 
     if isinstance(executor, str):
-        from .exec.api import make_executor
+        from .exec.executors import make_executor
 
         with make_executor(executor) as ex:
             results = ex.run(specs, progress=progress)

@@ -194,7 +194,7 @@ class _GuardFixBackend:
         return None
 
 
-def _register_backend() -> None:
+def _register_guardfix() -> None:
     from ..measure.api import register_measurement_backend
 
     register_measurement_backend(
@@ -206,7 +206,7 @@ def _register_backend() -> None:
     )
 
 
-_register_backend()
+_register_guardfix()
 
 
 # ----------------------------------------------------------------------

@@ -154,7 +154,3 @@ class MeanConvergence:
         if self.max_runs is not None and n >= self.max_runs:
             return True
         return self.is_converged()
-
-    def converged(self) -> bool:
-        """Backwards-compatible alias for :meth:`should_stop`."""
-        return self.should_stop()

@@ -21,6 +21,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig1", "--scale", "enormous"])
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--workers", "0"], "--workers"),
+            (["--workers", "two"], "--workers"),
+            (["--retries", "-1"], "--retries"),
+            (["--min-healthy-workers", "-1"], "--min-healthy-workers"),
+            (["--fault-plan", "{bad"], "--fault-plan"),
+            (["--fault-plan", "[1]"], "--fault-plan"),
+        ],
+    )
+    def test_bad_execution_flags_exit_2_naming_the_flag(self, capsys, flags, named):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "tab1", "--scale", "quick", *flags])
+        assert exc.value.code == 2
+        assert f"argument {named}:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_prints_all_artifacts(self, capsys):

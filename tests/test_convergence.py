@@ -56,25 +56,25 @@ class TestMeanConvergence:
         rule = MeanConvergence(min_runs=4)
         for v in (100.0, 101.0, 99.0):
             rule.add(v)
-        assert not rule.converged()
+        assert not rule.should_stop()
 
     def test_tight_runs_converge(self):
         rule = MeanConvergence(rel_tol=0.05, min_runs=3)
         for v in (100.0, 101.0, 99.5, 100.2):
             rule.add(v)
-        assert rule.converged()
+        assert rule.should_stop()
 
     def test_wild_runs_do_not_converge(self):
         rule = MeanConvergence(rel_tol=0.05, min_runs=3)
         for v in (100.0, 300.0, 50.0, 220.0):
             rule.add(v)
-        assert not rule.converged()
+        assert not rule.should_stop()
 
     def test_max_runs_forces_stop(self):
         rule = MeanConvergence(rel_tol=0.001, min_runs=2, max_runs=5)
         for v in (1.0, 100.0, 1.0, 100.0, 1.0):
             rule.add(v)
-        assert rule.converged()  # hit the cap despite high variance
+        assert rule.should_stop()  # hit the cap despite high variance
 
     def test_half_width_infinite_with_one_run(self):
         rule = MeanConvergence()
@@ -86,7 +86,7 @@ class TestMeanConvergence:
         rule.add(5.0)
         rule.add(5.0)
         assert rule.half_width() == 0.0
-        assert rule.converged()
+        assert rule.should_stop()
 
     def test_mean(self):
         rule = MeanConvergence()

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.procedure import MeasurementProcedure, ProcedureConfig
 from repro.exec import (
+    Capabilities,
     ClusterExecutor,
     ClusterOptions,
     ExecError,
@@ -507,7 +508,7 @@ class TestLocalCluster:
         with SerialExecutor() as ex:
             serial = MeasurementProcedure(quick_config(), executor=ex).run()
         with LocalClusterExecutor(workers=3) as ex:
-            assert ex.capabilities().distributed
+            assert ex.capabilities().backend == "cluster"
             cluster = MeasurementProcedure(quick_config(), executor=ex).run()
         assert serial.estimates == cluster.estimates
         assert serial.dispersion == cluster.dispersion
@@ -560,9 +561,7 @@ class TestLocalCluster:
         try:
             assert isinstance(ex, LocalClusterExecutor)
             assert ex.options.workers == 2
-            caps = ex.capabilities()
-            assert caps.backend == "cluster"
-            assert caps.distributed and caps.parallel and caps.deterministic
+            assert ex.capabilities() == Capabilities(backend="cluster", workers=2)
         finally:
             ex.close()
 

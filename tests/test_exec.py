@@ -327,22 +327,22 @@ class TestCrashRetry:
 class TestDefaults:
     def test_execution_context_restores(self):
         before = get_execution_defaults()
-        with execution(jobs=4, cache_dir="/tmp/somewhere"):
+        with execution(workers=4, cache_dir="/tmp/somewhere"):
             inside = get_execution_defaults()
-            assert inside["jobs"] == 4
+            assert inside["workers"] == 4
             assert inside["cache_dir"] == "/tmp/somewhere"
         assert get_execution_defaults() == before
 
     def test_execute_specs_uses_defaults(self, tmp_path):
-        with execution(jobs=1, cache_dir=str(tmp_path)):
+        with execution(workers=1, cache_dir=str(tmp_path)):
             spec = quick_spec()
             first = execute_specs([spec])[0]
             second = execute_specs([spec])[0]
         assert not first.from_cache and second.from_cache
 
-    def test_invalid_jobs_rejected(self):
+    def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            with execution(jobs=0):
+            with execution(workers=0):
                 pass
 
     def test_telemetry_summary(self):

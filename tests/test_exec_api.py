@@ -1,9 +1,9 @@
 """Tests for the formal Executor API and the canonicalization audit.
 
 * the `Executor` protocol + `Capabilities` introspection,
-* the backend registry (`make_executor` by name, per-backend option
-  dataclasses, third-party registration, rejection of the removed
-  `jobs=` spelling),
+* construction by name (`make_executor` over `EXECUTORS`, option
+  kwargs, rejection of unknown names/options and the removed `jobs=`
+  spelling),
 * the `default_executor` / `execution` plumbing for named backends and
   the CLI's `--executor/--workers` flags,
 * `_canonical` regression tests: sort-order and float/key
@@ -11,7 +11,6 @@
   protocol versions.
 """
 
-import dataclasses
 import pickle
 import warnings
 
@@ -19,24 +18,19 @@ import numpy as np
 import pytest
 
 from repro.exec import (
+    EXECUTORS,
     Capabilities,
     ClusterOptions,
     Executor,
     LocalClusterExecutor,
     ParallelExecutor,
-    ProcessOptions,
     RunSpec,
     SerialExecutor,
-    SerialOptions,
-    available_backends,
-    backend_info,
     default_executor,
     execution,
     make_executor,
-    register_backend,
     spec_digest,
 )
-from repro.exec import api as api_mod
 from repro.exec.spec import _canonical_blob
 from repro.measure import measure_spec
 from repro.workloads.memcached import MemcachedWorkload
@@ -77,29 +71,21 @@ class TestExecutorProtocol:
         assert SerialExecutor().capabilities() == Capabilities(backend="serial")
         pool = ParallelExecutor(max_workers=3)
         try:
-            caps = pool.capabilities()
-            assert caps.parallel and not caps.distributed
-            assert caps.workers == 3
-            assert caps.supports_timeout and caps.supports_retry
+            assert pool.capabilities() == Capabilities(backend="process", workers=3)
         finally:
             pool.close()
 
-    def test_capabilities_promise_determinism(self):
-        for name in available_backends():
-            # determinism is the caching contract; every built-in keeps it
-            assert Capabilities(backend=name).deterministic
-
 
 # ----------------------------------------------------------------------
-# the registry
+# construction by name
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"serial", "process", "cluster"} <= set(available_backends())
+        assert EXECUTORS == ("serial", "process", "cluster")
 
     def test_make_executor_by_name(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
-        pool = make_executor("process", options=ProcessOptions(workers=2))
+        pool = make_executor("process", workers=2)
         try:
             assert isinstance(pool, ParallelExecutor)
             assert pool.max_workers == 2
@@ -114,73 +100,31 @@ class TestRegistry:
             assert pool.retries == 3
         finally:
             pool.close()
+        cluster = make_executor("cluster", workers=1, lease_s=30.0)
+        try:
+            assert cluster.options == ClusterOptions(workers=1, lease_s=30.0)
+        finally:
+            cluster.close()
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(KeyError, match="serial"):
+        with pytest.raises(ValueError, match="serial, process, cluster"):
             make_executor("teleport")
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(TypeError, match="unknown option"):
-            make_executor("process", warp_factor=9)
-
-    def test_wrong_options_type_rejected(self):
-        with pytest.raises(TypeError, match="expects"):
-            make_executor("process", options=SerialOptions())
+        for backend in EXECUTORS:
+            with pytest.raises(TypeError, match="warp_factor"):
+                make_executor(backend, warp_factor=9)
 
     def test_options_and_kwargs_are_exclusive(self):
         with pytest.raises(TypeError, match="not both"):
-            make_executor("process", options=ProcessOptions(), workers=2)
-
-    def test_backend_info_exposes_options_dataclass(self):
-        info = backend_info("cluster")
-        assert info.options is ClusterOptions
-        assert dataclasses.is_dataclass(info.options)
-        assert info.summary
-
-    def test_third_party_backend_plugs_in(self):
-        @dataclasses.dataclass(frozen=True)
-        class EchoOptions:
-            shout: bool = False
-
-        class EchoExecutor:
-            def __init__(self, options, task, cache):
-                self.options = options
-
-            def run(self, specs, progress=None):
-                return list(specs)
-
-            def capabilities(self):
-                return Capabilities(backend="echo")
-
-            def close(self):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.close()
-
-        register_backend("echo", EchoExecutor, EchoOptions, summary="test double")
-        try:
-            assert "echo" in available_backends()
-            ex = make_executor("echo", shout=True)
-            assert isinstance(ex, Executor)
-            assert ex.options.shout
-            assert ex.run([1, 2]) == [1, 2]
-        finally:
-            api_mod._REGISTRY.pop("echo", None)
-
-    def test_non_dataclass_options_rejected_at_registration(self):
-        with pytest.raises(TypeError):
-            register_backend("bad", lambda o, t, c: None, options=dict)
+            LocalClusterExecutor(options=ClusterOptions(), workers=2)
 
 
 class TestDeprecatedSurface:
     """The 1.x spellings were removed in 2.0; they fail loudly."""
 
     def test_positional_jobs_is_rejected(self):
-        with pytest.raises(TypeError, match="registry name"):
+        with pytest.raises(ValueError, match="unknown executor backend 4"):
             make_executor(4)
 
     def test_jobs_keyword_is_rejected(self):
@@ -205,18 +149,21 @@ class TestBackendDefaults:
                 assert isinstance(ex, ParallelExecutor)
                 assert ex.max_workers == 2
 
-    def test_jobs_fallback_unchanged(self):
-        with execution(jobs=1):
+    def test_workers_alone_pick_serial_or_process(self):
+        assert isinstance(default_executor(), SerialExecutor)
+        with execution(workers=1):
             assert isinstance(default_executor(), SerialExecutor)
-        with execution(jobs=3):
+        with execution(workers=3):
             with default_executor() as ex:
                 assert isinstance(ex, ParallelExecutor)
                 assert ex.max_workers == 3
+        with execution(backend="serial", workers=3):
+            assert isinstance(default_executor(), SerialExecutor)
 
     def test_default_executor_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            with execution(jobs=2):
+            with execution(workers=2):
                 default_executor().close()
 
     def test_cli_flags_reach_the_defaults(self):
@@ -228,11 +175,31 @@ class TestBackendDefaults:
         assert args.executor == "cluster"
         assert args.workers == 3
 
-    def test_cli_rejects_unknown_backend_fast(self):
+    @pytest.mark.parametrize(
+        "workers, kind, size",
+        [
+            (None, SerialExecutor, None),
+            ("1", SerialExecutor, None),
+            ("4", ParallelExecutor, 4),
+        ],
+    )
+    def test_cli_workers_alone_pick_the_backend(self, workers, kind, size):
+        from repro.cli import _execution_scope, build_parser
+
+        argv = ["run", "tab1"] + (["--workers", workers] if workers else [])
+        with _execution_scope(build_parser().parse_args(argv)):
+            with default_executor() as ex:
+                assert type(ex) is kind
+                if size is not None:
+                    assert ex.max_workers == size
+
+    def test_cli_rejects_unknown_backend_fast(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "tab1", "--executor", "teleport"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
 
     def test_cli_backends_command(self, capsys):
         from repro.cli import main

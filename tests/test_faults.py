@@ -507,15 +507,20 @@ class TestResilienceDefaults:
             with default_executor(task=chaos_task) as ex:
                 assert ex.retries == 4
 
-    def test_resilience_kwargs_filtered_per_backend(self):
-        from repro.exec.executors import _resilience_kwargs
+    def test_resilience_defaults_reach_built_executors(self):
+        from repro.exec.executors import default_executor
 
         with execution(retries=2, min_healthy_workers=1):
-            assert _resilience_kwargs("serial") == {}
-            assert _resilience_kwargs("process") == {"retries": 2}
-            cluster = _resilience_kwargs("cluster")
-            assert cluster["retry"].max_attempts == 3  # N retries = N + 1 attempts
-            assert cluster["health"].min_healthy_workers == 1
+            with execution(backend="serial"):
+                assert isinstance(default_executor(), SerialExecutor)
+            with execution(backend="process", workers=2):
+                with default_executor() as ex:
+                    assert ex.retries == 2
+            with execution(backend="cluster", workers=1):
+                with default_executor() as ex:
+                    # N retries = N + 1 attempts
+                    assert ex.options.retry.max_attempts == 3
+                    assert ex.options.health.min_healthy_workers == 1
 
     def test_cli_parses_resilience_flags(self, tmp_path):
         from repro.cli import _load_fault_plan, build_parser

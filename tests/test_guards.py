@@ -213,7 +213,7 @@ class TestDetectorMatrix:
 # ----------------------------------------------------------------------
 class TestExecutorIdentity:
     def test_guards_identical_across_backends(self):
-        from repro.exec.api import make_executor
+        from repro.exec import make_executor
 
         spec = small_spec()
         reports = {}
