@@ -34,7 +34,12 @@ from ..sim.machine import HardwareSpec
 from ..sim.memory import POLICY_INTERLEAVE, POLICY_SAME_NODE
 from ..sim.nic import AFFINITY_ALL_NODES, AFFINITY_SAME_NODE
 from ..stats.design import Factor, FactorialDesign, model_matrix
-from ..stats.inference import ExperimentSample, fit_with_inference, screen_factor
+from ..stats.inference import (
+    ExperimentSample,
+    check_n_boot,
+    fit_with_inference,
+    screen_factor,
+)
 from ..stats.quantreg import QuantRegResult
 from ..workloads.base import Workload
 
@@ -134,6 +139,7 @@ class AttributionConfig:
             raise ValueError("target_utilization must be in (0, 1)")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        check_n_boot(self.n_boot)
 
 
 @dataclass

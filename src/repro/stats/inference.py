@@ -25,13 +25,19 @@ estimates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from .design import model_matrix
-from .quantreg import QuantRegResult, fit_quantile_regression, pinball_loss
+from .quantreg import (
+    QuantRegResult,
+    fit_quantile_regression,
+    fit_saturated_batch,
+    pinball_loss,
+    saturated_cells,
+)
 
 __all__ = [
     "ExperimentSample",
@@ -39,6 +45,7 @@ __all__ = [
     "run_quantile_design",
     "pseudo_r2",
     "fit_with_inference",
+    "check_n_boot",
     "screen_factor",
 ]
 
@@ -119,6 +126,45 @@ def run_quantile_design(
     return X, y, columns
 
 
+def check_n_boot(n_boot: int) -> None:
+    """Reject bootstrap sizes that cannot give a standard error: 0
+    means "no inference"; one resample has no spread to measure."""
+    if n_boot < 0 or n_boot == 1:
+        raise ValueError(
+            f"n_boot must be 0 (no inference) or at least 2, got {n_boot}"
+        )
+
+
+def _cell_resampler(
+    experiments: Sequence[ExperimentSample],
+) -> Callable[[np.random.Generator], np.ndarray]:
+    """One cluster-bootstrap resample of experiment indices per call.
+
+    Cells are the distinct configurations in first-appearance order.
+    A resample draws ``rng.integers(0, m, size=m)`` for each cell of
+    ``m`` runs, in that order, and returns the picked experiments cell
+    by cell.  When every cell holds ``k`` runs, one
+    ``rng.integers(0, k, size=cells * k)`` call yields the same numbers;
+    when ``k == 1`` no call is made, as such a call consumes no
+    generator state.
+    """
+    by_cell: Dict[Tuple[int, ...], List[int]] = {}
+    for i, exp in enumerate(experiments):
+        by_cell.setdefault(tuple(exp.coded), []).append(i)
+    groups = [np.array(members) for members in by_cell.values()]
+    members = np.concatenate(groups)
+    sizes = {g.size for g in groups}
+    if len(sizes) > 1:
+        return lambda rng: np.concatenate(
+            [g[rng.integers(0, g.size, size=g.size)] for g in groups]
+        )
+    k = sizes.pop()
+    if k == 1:
+        return lambda rng: members
+    starts = np.repeat(np.arange(0, members.size, k), k)
+    return lambda rng: members[starts + rng.integers(0, k, size=members.size)]
+
+
 def fit_with_inference(
     experiments: Sequence[ExperimentSample],
     names: Sequence[str],
@@ -151,8 +197,20 @@ def fit_with_inference(
 
     The bootstrap resamples experiments with replacement *within each
     configuration cell*, preserving the balanced design while
-    capturing run-to-run (hysteresis) variance.
+    capturing run-to-run (hysteresis) variance.  ``n_boot`` resamples
+    (0 skips inference; 1 is rejected, as one resample has no spread).
+
+    ``rng`` is consumed in a fixed order, which the pinned digests
+    freeze and which keeps an RNG shared across quantiles in step:
+    first the main fit's perturbation (``rng.normal(0, perturb_sd,
+    size=n)``, only when ``perturb_sd > 0``), then for each resample
+    its index draws (see :func:`_cell_resampler`) followed by one
+    perturbation draw of the resample's size.  With ``method="lp"`` or
+    ``response="raw"`` each resample is its own
+    :func:`fit_quantile_regression` call; otherwise all resamples share
+    the saturated design's cells and are fit in one batched call.
     """
+    check_n_boot(n_boot)
     if rng is None:
         rng = np.random.default_rng(0)
     if response == "run_quantile":
@@ -181,23 +239,36 @@ def fit_with_inference(
         # above: the same draws as resampling the experiments and
         # rebuilding the design, without recomputing run quantiles or
         # model matrices.
-        by_cell: Dict[Tuple[int, ...], List[int]] = {}
-        for i, exp in enumerate(experiments):
-            by_cell.setdefault(tuple(exp.coded), []).append(i)
-        cells = [np.array(members) for members in by_cell.values()]
-        boots = np.empty((n_boot, len(columns)))
-        for b in range(n_boot):
-            picked = np.concatenate(
-                [m[rng.integers(0, m.size, size=m.size)] for m in cells]
+        draw = _cell_resampler(experiments)
+        if spans is None and result.method == "saturated":
+            # Every resample keeps every cell at its size, so all of
+            # them share the design's cells: one batched fit.
+            cells, cell_of = saturated_cells(X)
+            rows = np.empty((n_boot, y.size), dtype=np.intp)
+            noise = np.empty((n_boot, y.size)) if perturb_sd > 0.0 else None
+            for b in range(n_boot):
+                rows[b] = draw(rng)
+                if noise is not None:
+                    noise[b] = rng.normal(0.0, perturb_sd, size=y.size)
+            Y = y[rows] if noise is None else y[rows] + noise
+            # Slot j of every resample lies in the same cell.
+            fitted = fit_saturated_batch(
+                cells, cell_of[rows[0]], Y, eff_tau, np.ones(y.size)
             )
-            if spans is None:
-                rows = picked
-            else:
-                rows = np.concatenate([spans[i] for i in picked])
-            fit = fit_quantile_regression(
-                X[rows], y[rows], eff_tau, method=method, perturb_sd=perturb_sd, rng=rng
-            )
-            boots[b] = fit.coefficients
+            boots = np.ascontiguousarray(fitted)
+        else:
+            boots = np.empty((n_boot, len(columns)))
+            for b in range(n_boot):
+                picked = draw(rng)
+                if spans is None:
+                    rows = picked
+                else:
+                    rows = np.concatenate([spans[i] for i in picked])
+                fit = fit_quantile_regression(
+                    X[rows], y[rows], eff_tau, method=method,
+                    perturb_sd=perturb_sd, rng=rng,
+                )
+                boots[b] = fit.coefficients
         stderr = boots.std(axis=0, ddof=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(stderr > 0, result.coefficients / stderr, np.inf)

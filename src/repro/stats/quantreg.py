@@ -21,7 +21,9 @@ Two solvers are provided:
   tau-quantile of each design cell is the cell's empirical
   tau-quantile, and the coefficients follow from one 16x16 solve.
   Orders of magnitude faster on large sample sets; used automatically
-  when applicable under ``method="auto"``.
+  when applicable under ``method="auto"``.  :func:`fit_saturated_batch`
+  fits many responses over one design at once (the bootstrap's
+  resamples); a single fit is its one-response case.
 
 Degenerate dummy designs can trap LP solvers at non-unique vertices;
 the paper perturbs the data with 0.01-sd symmetric noise before
@@ -32,7 +34,7 @@ fitting.  :func:`fit_quantile_regression` exposes the same knob
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -85,37 +87,70 @@ def predict(X: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return X @ b
 
 
-def _weighted_quantile(values: np.ndarray, weights: np.ndarray, tau: float) -> float:
-    """tau-quantile of a weighted sample (inverse weighted CDF)."""
-    order = np.argsort(values)
-    v = values[order]
-    w = weights[order]
-    cum = np.cumsum(w)
-    target = tau * cum[-1]
-    idx = int(np.searchsorted(cum, target, side="left"))
-    return float(v[min(idx, v.size - 1)])
+def saturated_cells(X: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(cells, cell_of)`` when the design is saturated, else None.
+
+    ``cells`` holds X's distinct rows (sorted, as :func:`numpy.unique`
+    returns them) and ``cell_of`` the cell of each row of X.  Saturated
+    means: the number of distinct rows equals the number of columns and
+    those rows are linearly independent, so the model can represent
+    any per-cell quantile vector exactly.
+    """
+    cells, cell_of = np.unique(X, axis=0, return_inverse=True)
+    p = X.shape[1]
+    if cells.shape[0] != p or np.linalg.matrix_rank(cells) < p:
+        return None
+    return cells, cell_of.ravel()
+
+
+def fit_saturated_batch(
+    cells: np.ndarray,
+    cell_of: np.ndarray,
+    Y: np.ndarray,
+    tau: float,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Exact saturated fits of ``B`` responses sharing one design.
+
+    ``cells`` is the (p, p) matrix of distinct design rows,
+    ``cell_of`` the cell of each of the n samples, ``Y`` a (B, n)
+    response matrix and ``weights`` the n sample weights.  Each cell's
+    tau-quantile is its inverse weighted CDF at ``tau``; the (B, p)
+    coefficients solve ``cells @ b = cell quantiles`` for every row.
+    """
+    B, n = Y.shape
+    p = cells.shape[0]
+    sizes = np.bincount(cell_of, minlength=p)
+    order = np.argsort(cell_of, kind="stable")
+    cell = cell_of[order]
+    slot = np.arange(n) - (np.cumsum(sizes) - sizes)[cell]
+    # One row per cell, padded past each cell's size with NaN values of
+    # weight 0: a stable sort puts the pads last and they leave every
+    # running weight unchanged, so each row's cumulative sum is exactly
+    # the cell's own.
+    width = sizes.max()
+    values = np.full((B, p, width), np.nan)
+    values[:, cell, slot] = Y[:, order]
+    w = np.zeros((1, p, width))
+    w[0, cell, slot] = weights[order]
+    rank = np.argsort(values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, rank, axis=-1)
+    cum = np.cumsum(np.take_along_axis(w, rank, axis=-1), axis=-1)
+    # First sorted sample whose running weight reaches tau of the total.
+    idx = np.minimum((cum < tau * cum[..., -1:]).sum(axis=-1), sizes - 1)
+    cell_q = np.take_along_axis(values, idx[..., None], axis=-1)
+    return np.linalg.solve(np.broadcast_to(cells, (B, p, p)), cell_q)[..., 0]
 
 
 def _fit_saturated(
     X: np.ndarray, y: np.ndarray, tau: float, weights: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Exact fit when the design is saturated; None when not applicable.
-
-    Saturated means: the number of distinct rows of X equals the number
-    of columns and those rows are linearly independent, so the model
-    can represent any per-cell quantile vector exactly.
-    """
-    uniq, inverse = np.unique(X, axis=0, return_inverse=True)
-    p = X.shape[1]
-    if uniq.shape[0] != p:
+    """Exact fit when the design is saturated; None when not applicable."""
+    saturated = saturated_cells(X)
+    if saturated is None:
         return None
-    if np.linalg.matrix_rank(uniq) < p:
-        return None
-    cell_q = np.empty(p)
-    for cell in range(p):
-        mask = inverse == cell
-        cell_q[cell] = _weighted_quantile(y[mask], weights[mask], tau)
-    return np.linalg.solve(uniq, cell_q)
+    cells, cell_of = saturated
+    return fit_saturated_batch(cells, cell_of, y[None, :], tau, weights)[0]
 
 
 def _fit_lp(

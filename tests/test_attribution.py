@@ -151,6 +151,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AttributionConfig(workload=MemcachedWorkload(), replications=0)
 
+    @pytest.mark.parametrize("n_boot", [-1, 1])
+    def test_bad_n_boot_rejected_at_construction(self, n_boot):
+        with pytest.raises(ValueError, match="n_boot"):
+            AttributionConfig(workload=MemcachedWorkload(), n_boot=n_boot)
+
+    def test_zero_n_boot_accepted(self):
+        assert AttributionConfig(workload=MemcachedWorkload(), n_boot=0).n_boot == 0
+
 
 class TestFactorScreening:
     """Section IV-B: null-hypothesis screening of candidate factors."""

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from repro.stats.design import Factor, FactorialDesign
 from repro.stats.inference import (
@@ -133,6 +134,23 @@ class TestFitWithInference:
         )
         assert r2_runq > r2_raw
 
+    @pytest.mark.parametrize("n_boot", [-1, -25])
+    def test_negative_n_boot_rejected(self, n_boot):
+        exps = synthetic_experiments(EFFECTS, reps=2, seed=5)
+        with pytest.raises(ValueError, match="n_boot"):
+            fit_with_inference(exps, ["a", "b"], tau=0.5, n_boot=n_boot)
+
+    def test_single_resample_rejected(self):
+        """One resample has no spread: its standard error would be NaN."""
+        exps = synthetic_experiments(EFFECTS, reps=2, seed=5)
+        with pytest.raises(ValueError, match="n_boot"):
+            fit_with_inference(exps, ["a", "b"], tau=0.5, n_boot=1)
+
+    def test_two_resamples_give_finite_inference(self):
+        exps = synthetic_experiments(EFFECTS, reps=2, seed=5)
+        fit, _ = fit_with_inference(exps, ["a", "b"], tau=0.5, n_boot=2)
+        assert np.isfinite(fit.stderr).all() and np.isfinite(fit.p_values).all()
+
     def test_zero_boot_skips_inference(self):
         exps = synthetic_experiments(EFFECTS, reps=3, seed=5)
         fit, _ = fit_with_inference(exps, ["a", "b"], tau=0.5, n_boot=0)
@@ -176,7 +194,7 @@ class TestScreenFactor:
             screen_factor([], 0, 0.5)
 
 
-def _pin_experiments(seed=11):
+def _pin_experiments(seed=11, reps=4):
     """A shuffled 2-factor set with unequal per-run sample counts, so
     bootstrap cells interleave and raw-response spans differ in length."""
     rng = np.random.default_rng(seed)
@@ -184,7 +202,7 @@ def _pin_experiments(seed=11):
     exps = []
     for cfg in design.configs():
         base = 100.0 + 40.0 * cfg[0] - 10.0 * cfg[1] + 15.0 * cfg[0] * cfg[1]
-        for _ in range(4):
+        for _ in range(reps):
             n = int(rng.integers(20, 60))
             exps.append(
                 ExperimentSample(
@@ -235,8 +253,146 @@ class TestInferencePins:
         assert fit.method == method
         assert _fit_digest(fit, r2) == digest
 
+    def test_one_run_per_cell_is_pinned(self):
+        """k = 1: every resample is the design itself, so only the
+        perturbation draws differ between resamples."""
+        fit, r2 = fit_with_inference(
+            _pin_experiments(reps=1),
+            ["a", "b"],
+            0.9,
+            n_boot=25,
+            rng=np.random.default_rng(5),
+        )
+        assert fit.method == "saturated"
+        assert _fit_digest(fit, r2) == (
+            "258294966f3b98cb8d81455efe4b3c3a9d2e7393398ae5c8870ac2ba926d29da"
+        )
+
     def test_screen_factor_p_values_are_pinned(self):
         exps = _pin_experiments(seed=12)
         rng = np.random.default_rng(3)
         p = [screen_factor(exps, i, 0.9, n_perm=150, rng=rng) for i in (0, 1)]
         assert p == [0.006622516556291391, 0.152317880794702]
+
+
+def _reference_saturated(X, y, tau):
+    """Saturated fit cell by cell: each cell's inverse-CDF tau-quantile,
+    then one solve against the sorted distinct design rows."""
+    cells, cell_of = np.unique(X, axis=0, return_inverse=True)
+    cell_of = cell_of.ravel()
+    cell_q = np.empty(cells.shape[0])
+    for c in range(cells.shape[0]):
+        v = np.sort(y[cell_of == c])
+        cum = np.cumsum(np.ones(v.size))
+        idx = int(np.searchsorted(cum, tau * cum[-1], side="left"))
+        cell_q[c] = v[min(idx, v.size - 1)]
+    return np.linalg.solve(cells, cell_q)
+
+
+def _reference_fit_with_inference(exps, names, tau, fit_tau, n_boot, perturb_sd, rng):
+    """The bootstrap as one fit per resample, drawing from ``rng`` in
+    the documented order: main-fit perturbation, then per resample the
+    per-cell index draws and one perturbation draw."""
+
+    def fit(X, y):
+        if perturb_sd > 0.0:
+            y = y + rng.normal(0.0, perturb_sd, size=y.size)
+        return _reference_saturated(X, y, fit_tau)
+
+    X, y, _ = run_quantile_design(exps, names, tau)
+    coef = fit(X, y)
+    r2 = pseudo_r2(y, X @ coef, fit_tau)
+    by_cell = {}
+    for i, exp in enumerate(exps):
+        by_cell.setdefault(tuple(exp.coded), []).append(i)
+    cells = [np.array(members) for members in by_cell.values()]
+    boots = np.empty((n_boot, coef.size))
+    for b in range(n_boot):
+        rows = np.concatenate(
+            [m[rng.integers(0, m.size, size=m.size)] for m in cells]
+        )
+        boots[b] = fit(X[rows], y[rows])
+    stderr = boots.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(stderr > 0, coef / stderr, np.inf)
+    return coef, stderr, 2.0 * scipy_stats.norm.sf(np.abs(z)), r2
+
+
+def _factorial_experiments(runs_per_cell, seed=21):
+    """A shuffled 2^4 set; ``runs_per_cell`` is one count for every cell
+    or a sequence of counts cycled over the cells."""
+    rng = np.random.default_rng(seed)
+    design = FactorialDesign([Factor(n, "lo", "hi") for n in "abcd"])
+    counts = np.resize(np.atleast_1d(runs_per_cell), 16)
+    exps = []
+    for cfg, reps in zip(design.configs(), counts):
+        base = 100.0 + 30.0 * cfg[0] + 12.0 * cfg[1] * cfg[2] - 5.0 * cfg[3]
+        for _ in range(int(reps)):
+            exps.append(
+                ExperimentSample(
+                    coded=cfg,
+                    samples=base + rng.normal(0, 2.0) + rng.exponential(8.0, 40),
+                )
+            )
+    return [exps[i] for i in rng.permutation(len(exps))]
+
+
+class TestBatchedBootstrapMatchesLoop:
+    """The batched saturated bootstrap against the one-fit-per-resample
+    loop: every number equal to the bit, and ``rng`` left in the same
+    state, so a generator shared across quantiles stays in step."""
+
+    @pytest.mark.parametrize("runs_per_cell", [1, 2, 3, 5, (1, 2, 3, 5)],
+                             ids=["k1", "k2", "k3", "k5", "unequal"])
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("perturb_sd", [0.0, 0.01])
+    @pytest.mark.parametrize("fit_at", ["median", "tau"])
+    def test_bit_identical(self, runs_per_cell, tau, perturb_sd, fit_at):
+        exps = _factorial_experiments(runs_per_cell)
+        names = list("abcd")
+        fit_tau = 0.5 if fit_at == "median" else tau
+        rng_ref, rng = np.random.default_rng(9), np.random.default_rng(9)
+        coef, stderr, p_values, r2_ref = _reference_fit_with_inference(
+            exps, names, tau, fit_tau, 25, perturb_sd, rng_ref
+        )
+        fit, r2 = fit_with_inference(
+            exps, names, tau, n_boot=25, perturb_sd=perturb_sd, rng=rng,
+            fit_tau=fit_tau,
+        )
+        assert fit.method == "saturated"
+        assert np.array_equal(fit.coefficients, coef)
+        assert np.array_equal(fit.stderr, stderr)
+        assert np.array_equal(fit.p_values, p_values)
+        assert r2 == r2_ref
+        assert rng.random() == rng_ref.random()
+
+
+class TestGeneratorDrawContract:
+    """The numpy ``Generator`` properties the bootstrap's fused index
+    draws rely on; a numpy upgrade that breaks one fails here by name
+    rather than by moving a golden digest."""
+
+    @pytest.mark.parametrize("size", [1, 4, 16])
+    def test_single_value_range_consumes_no_state(self, size):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        drawn = rng.integers(0, 1, size=size)
+        assert np.array_equal(drawn, np.zeros(size, dtype=drawn.dtype))
+        assert rng.bit_generator.state == before, (
+            "integers(0, 1, size=k) advanced the bit generator"
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("calls", [1, 7, 16])
+    def test_one_fused_call_equals_per_cell_calls(self, k, calls):
+        fused_rng, split_rng = np.random.default_rng(8), np.random.default_rng(8)
+        fused = fused_rng.integers(0, k, size=calls * k)
+        split = np.concatenate(
+            [split_rng.integers(0, k, size=k) for _ in range(calls)]
+        )
+        assert np.array_equal(fused, split), (
+            f"integers(0, {k}, size={calls}*{k}) differs from {calls} calls of size {k}"
+        )
+        assert fused_rng.bit_generator.state == split_rng.bit_generator.state, (
+            "fused and per-cell index draws left the generator in different states"
+        )
