@@ -65,9 +65,7 @@ from .core import (
 )
 from .exec import (
     Capabilities,
-    ClusterExecutor,
     Executor,
-    LocalClusterExecutor,
     ParallelExecutor,
     ResultCache,
     RunSpec,
@@ -100,7 +98,7 @@ from .measure import (
 from .sim import HardwareSpec
 from .workloads import McrouterWorkload, MemcachedWorkload
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "run",
@@ -125,8 +123,6 @@ __all__ = [
     "Capabilities",
     "SerialExecutor",
     "ParallelExecutor",
-    "ClusterExecutor",
-    "LocalClusterExecutor",
     "ResultCache",
     "make_executor",
     "execute_specs",

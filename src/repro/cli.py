@@ -32,29 +32,19 @@ expect a long run).
 
 Execution flags (``run``, ``all`` and ``scenario run``):
 
-* ``--executor NAME`` — pick an execution backend: ``serial``,
-  ``process`` (local pool) or ``cluster`` (socket-based
-  work-stealing cluster with local workers).  All backends are
+* ``--workers N`` — ``N > 1`` runs on a local process pool of ``N``
+  workers; ``N = 1`` (or no value) runs serially.  Both are
   byte-identical for equal seeds; see ``repro backends``.
-* ``--workers N`` — size the chosen backend (pool processes or
-  cluster workers).  Without ``--executor``, ``N > 1`` picks the
-  process pool and ``N = 1`` (or no value) runs serially.
 * ``--cache-dir PATH`` — content-addressed result cache; identical
-  experiment specs are simulated once per machine, ever.
+  experiment specs are simulated once per machine, ever.  An
+  interrupted run resumes from it: re-running the same command
+  re-runs only the specs that had not finished.
+* ``--retries N`` — the process pool's per-spec budget for crashed
+  or timed-out workers (the serial backend ignores it).
 
-Resilience flags (honored by backends that support them):
-
-* ``--retries N`` — per-spec retry budget for transient failures
-  (process-pool crash retries; cluster lost-work + transient-error
-  attempts with exponential backoff and jitter).
-* ``--min-healthy-workers N`` — cluster graceful-degradation floor:
-  when fewer healthy (connected, non-quarantined) workers remain for
-  long enough, the run falls back to the local process pool instead
-  of stalling.
-* ``--fault-plan JSON|PATH`` — chaos testing only: a serialized
-  ``repro.faults.FaultPlan`` injected at the executor's deterministic
-  hook points.  Also see ``repro chaos`` for the seeded invariant
-  checker.
+``repro chaos --live --seed N`` runs one seeded fault-injection
+experiment against a local reference server and a multi-process live
+fleet, and checks the live chaos invariant.
 """
 
 from __future__ import annotations
@@ -105,22 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_exec_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--executor",
-            default=None,
-            choices=EXECUTORS,
-            help=(
-                "execution backend (default: serial, or process when "
-                "--workers is above 1; see `repro backends`)"
-            ),
-        )
-        p.add_argument(
             "--workers",
             type=_int_at_least(1),
             default=None,
             metavar="N",
             help=(
-                "worker count (pool processes / cluster workers); without "
-                "--executor, N > 1 runs on the local process pool"
+                "N > 1 runs on a local process pool of N workers "
+                "(default: serial; see `repro backends`)"
             ),
         )
         p.add_argument(
@@ -135,28 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help=(
-                "per-spec retry budget for transient failures (crashed "
-                "workers, expired leases, transport errors); the serial "
-                "backend ignores it"
-            ),
-        )
-        p.add_argument(
-            "--min-healthy-workers",
-            type=_int_at_least(0),
-            default=None,
-            metavar="N",
-            help=(
-                "cluster backend: degrade to the local process pool when "
-                "fewer healthy workers remain (default: never degrade)"
-            ),
-        )
-        p.add_argument(
-            "--fault-plan",
-            default=None,
-            metavar="JSON|PATH",
-            help=(
-                "chaos testing: serialized repro.faults.FaultPlan (JSON "
-                "text or a file path) injected at the executor hook points"
+                "per-spec retry budget for crashed or timed-out pool "
+                "workers; the serial backend ignores it"
             ),
         )
 
@@ -423,40 +384,23 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p = sub.add_parser(
         "chaos",
         help=(
-            "run one seeded fault-injection experiment and check the "
-            "executor invariant (bit-identical to serial, or a clean "
-            "attributed failure)"
+            "run one seeded live-fleet fault-injection experiment and "
+            "check its invariant (converged, or a clean attributed "
+            "failure — never a hang)"
         ),
     )
     chaos_p.add_argument(
         "--seed", type=int, default=0, metavar="N", help="fault-plan seed"
     )
     chaos_p.add_argument(
-        "--workers",
-        type=_int_at_least(1),
-        default=2,
-        metavar="N",
-        help="cluster workers",
-    )
-    chaos_p.add_argument(
-        "--specs", type=int, default=10, metavar="N", help="specs in the batch"
-    )
-    chaos_p.add_argument(
-        "--lease-s", type=float, default=1.0, metavar="S", help="task lease seconds"
-    )
-    chaos_p.add_argument(
-        "--restart",
-        action="store_true",
-        help="also inject a coordinator restart (cache-recovery path)",
-    )
-    chaos_p.add_argument(
         "--live",
         action="store_true",
+        required=True,
         help=(
-            "chaos the live fleet instead of the cluster executor: "
-            "refserver + multi-process fleet under the live fault kinds "
-            "(client crash/hang, heartbeat drop, endpoint reset); the "
-            "invariant is degraded-converged or clean error, never a hang"
+            "chaos the live fleet: refserver + multi-process fleet under "
+            "the live fault kinds (client crash/hang, heartbeat drop, "
+            "endpoint reset); the invariant is degraded-converged or "
+            "clean error, never a hang"
         ),
     )
     chaos_p.add_argument(
@@ -822,54 +766,19 @@ def _scenario_run_live(scenario, specs, args: argparse.Namespace, start: float) 
     return 0
 
 
-def _load_fault_plan(text: Optional[str]):
-    """Parse ``--fault-plan`` (JSON text or a path) into a FaultPlan.
-
-    Imported lazily so production CLI invocations never touch
-    ``repro.faults``.
-    """
-    if not text:
-        return None
-    import os
-
-    from .faults.plan import FaultPlan  # local import: chaos only
-
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    return FaultPlan.from_json(text)
-
-
 def _execution_scope(args: argparse.Namespace):
-    """The scoped execution defaults implied by the CLI flags
-    (``args.fault_plan`` is already parsed by :func:`main`)."""
+    """The scoped execution defaults implied by the CLI flags."""
     return execution(
-        cache_dir=args.cache_dir,
-        backend=args.executor,
-        workers=args.workers,
-        retries=args.retries,
-        min_healthy_workers=args.min_healthy_workers,
-        fault_plan=args.fault_plan,
+        cache_dir=args.cache_dir, workers=args.workers, retries=args.retries
     )
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json as _json
 
-    if args.live:
-        from .faults.harness import run_live_chaos  # local import: chaos only
+    from .faults.harness import run_live_chaos  # local import: chaos only
 
-        report = run_live_chaos(seed=args.seed, processes=args.processes)
-    else:
-        from .faults.harness import run_chaos  # local import: chaos only
-
-        report = run_chaos(
-            seed=args.seed,
-            workers=args.workers,
-            n_specs=args.specs,
-            lease_s=args.lease_s,
-            include_restart=args.restart,
-        )
+    report = run_live_chaos(seed=args.seed, processes=args.processes)
     print(_json.dumps(report.summary(), indent=2))
     if not report.invariant_holds:
         print("[chaos] INVARIANT VIOLATED", file=sys.stderr)
@@ -970,11 +879,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fault_plan", None) is not None:
-        try:
-            args.fault_plan = _load_fault_plan(args.fault_plan)
-        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
-            parser.error(f"argument --fault-plan: {exc}")
     try:
         return _dispatch(args)
     except GuardFailureError as exc:
@@ -1025,13 +929,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return _cmd_scenario_validate(args.scenario)
         if args.scenario_command == "run":
             scenario = _resolve_scenario(args.scenario)
-            if scenario.fault_plan is not None and args.fault_plan is None:
-                # The scenario's embedded fault plan becomes the
-                # execution-scope default unless --fault-plan overrides.
-                import json as _json
-
-                embedded = _json.dumps(dict(scenario.fault_plan))
-                args.fault_plan = _load_fault_plan(embedded)
             with _execution_scope(args), _guard_scope(args):
                 return _cmd_scenario_run(scenario, args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -5,12 +5,12 @@ experiment described by a :class:`~repro.exec.spec.RunSpec`, executed
 by :func:`repro.measure.measure_spec` on the measurement backend the
 spec names (``spec.backend``; the simulator by default), scheduled
 through an executor
-backend (serial, process pool, or a distributed cluster), optionally
+backend (serial or a local process pool), optionally
 memoized by a content-addressed cache (:mod:`~repro.exec.cache`), and
 observed through progress hooks (:mod:`~repro.exec.progress`)::
 
-    spec -> schedule -> (serial | process pool | cluster) -> cached artifacts
-                                                          -> progress telemetry
+    spec -> schedule -> (serial | process pool) -> cached artifacts
+                                              -> progress telemetry
 
 All experiment drivers (``core.procedure``, ``core.attribution``,
 ``core.sweeps``, ``core.capacity``) and the CLI submit work
@@ -19,29 +19,26 @@ exclusively through this package.
 Public surface
 --------------
 This module re-exports the **stable** names only; anything not listed
-in ``__all__`` (module internals, the wire protocol, coordinator
-plumbing) is private and may change without notice.  The executor
-contract is documented in ``src/repro/exec/API.md``.
+in ``__all__`` (module internals, the wire protocol) is private and
+may change without notice.  The executor contract is documented in
+``src/repro/exec/API.md``.
 
 * the work unit: ``RunSpec``, ``RunResult``, ``spec_digest``,
   ``metric_samples``, ``SPEC_SCHEMA``
 * the executor API: ``Executor`` (protocol), ``Capabilities``,
-  ``EXECUTORS`` (the backend names), ``make_executor``,
-  ``ClusterOptions``
-* backends: ``SerialExecutor``, ``ParallelExecutor``,
-  ``ClusterExecutor``, ``LocalClusterExecutor``
+  ``EXECUTORS`` (the backend names), ``make_executor``
+* backends: ``SerialExecutor``, ``ParallelExecutor``
 * caching: ``ResultCache``, ``cache_version``, ``CACHE_SCHEMA``
 * scoped defaults: ``execute_specs``, ``execution``,
   ``default_executor``, ``set_execution_defaults``,
   ``get_execution_defaults``
 * observability: ``RunEvent``, ``ProgressHook``, ``StderrProgress``,
   ``Telemetry``, ``chain``
-* resilience: ``RetryPolicy``, ``HealthPolicy``, ``CircuitBreaker``,
-  ``classify_error``, ``TRANSIENT_ERROR_TYPES``, ``QUARANTINE_DIR``
-* errors: ``ExecError``, ``ExecTimeout``, ``SimulatedCrash``
+* resilience: ``QUARANTINE_DIR``
+* errors: ``ExecError``, ``ExecTimeout``
 """
 
-from .api import Capabilities, ClusterOptions, Executor, HealthPolicy, RetryPolicy
+from .api import Capabilities, Executor
 from .cache import CACHE_SCHEMA, QUARANTINE_DIR, ResultCache, cache_version
 from .executors import (
     EXECUTORS,
@@ -56,14 +53,6 @@ from .executors import (
     make_executor,
     set_execution_defaults,
 )
-from .distributed import (
-    TRANSIENT_ERROR_TYPES,
-    CircuitBreaker,
-    ClusterExecutor,
-    LocalClusterExecutor,
-    SimulatedCrash,
-    classify_error,
-)
 from .progress import ProgressHook, RunEvent, StderrProgress, Telemetry, chain
 from .spec import SPEC_SCHEMA, RunResult, RunSpec, metric_samples, spec_digest
 
@@ -77,14 +66,11 @@ __all__ = [
     # executor API
     "Executor",
     "Capabilities",
-    "ClusterOptions",
     "EXECUTORS",
     "make_executor",
     # backends
     "SerialExecutor",
     "ParallelExecutor",
-    "ClusterExecutor",
-    "LocalClusterExecutor",
     # caching
     "CACHE_SCHEMA",
     "ResultCache",
@@ -102,14 +88,8 @@ __all__ = [
     "Telemetry",
     "chain",
     # resilience
-    "RetryPolicy",
-    "HealthPolicy",
-    "CircuitBreaker",
-    "classify_error",
-    "TRANSIENT_ERROR_TYPES",
     "QUARANTINE_DIR",
     # errors
     "ExecError",
     "ExecTimeout",
-    "SimulatedCrash",
 ]

@@ -1,4 +1,4 @@
-"""The formal Executor API: the protocol, capabilities and cluster options.
+"""The formal Executor API: the protocol and capabilities.
 
 This module is the *contract* between experiment drivers (procedure,
 attribution, sweeps, capacity) and execution backends.  Drivers talk
@@ -8,24 +8,21 @@ to one verb::
 
 and backends promise one invariant: because the task is a pure
 function of its spec, **equal specs produce bit-identical results on
-every backend** — serial, process pool, or a distributed cluster.
+every backend** — serial or process pool.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`Executor` — a :class:`typing.Protocol` (structural, so an
   executor need not inherit anything) with the ``run`` verb, a
   :meth:`~Executor.capabilities` self-description, and a
   context-manager lifecycle;
 * :class:`Capabilities` — the backend name and worker count every
-  executor reports;
-* :class:`ClusterOptions` with its :class:`RetryPolicy` and
-  :class:`HealthPolicy` — the cluster backend's knobs.
+  executor reports.
 
-The three backends are built by name with
+The two backends are built by name with
 :func:`repro.exec.executors.make_executor`::
 
     make_executor("process", workers=8)
-    make_executor("cluster", workers=3, lease_s=30.0)
     make_executor("serial", cache_dir="~/.cache/repro")
 
 See ``src/repro/exec/API.md`` for the implementer-facing contract.
@@ -41,9 +38,6 @@ from .progress import ProgressHook
 __all__ = [
     "Capabilities",
     "Executor",
-    "ClusterOptions",
-    "RetryPolicy",
-    "HealthPolicy",
 ]
 
 
@@ -54,7 +48,7 @@ __all__ = [
 class Capabilities:
     """A backend's self-description (introspection without isinstance)."""
 
-    #: Backend name ("serial", "process" or "cluster").
+    #: Backend name ("serial" or "process").
     backend: str
     #: Worker slots, when the backend knows (None for serial).
     workers: Optional[int] = None
@@ -82,90 +76,9 @@ class Executor(Protocol):
         ...
 
     def close(self) -> None:
-        """Release pools/sockets/workers (idempotent)."""
+        """Release pools and worker processes (idempotent)."""
         ...
 
     def __enter__(self) -> "Executor": ...
 
     def __exit__(self, *exc: object) -> None: ...
-
-
-# ----------------------------------------------------------------------
-# cluster options
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry budget + backoff for lost work and *transient* task failures.
-
-    Lost work (crashed workers, expired leases, digest mismatches) and
-    transient worker exceptions (``MemoryError``, ``OSError``, pickling
-    transport errors) are each re-attempted under this budget; genuine
-    task exceptions are never retried (a pure function of the spec
-    fails the same way every time).
-
-    Backoff is exponential with *decorrelated jitter* (Brooker, AWS
-    Architecture Blog): ``delay = min(cap, uniform(base, prev * 3))``,
-    drawn from one seeded stream per spec (:mod:`repro.exec.backoff`)
-    so each spec's schedule is deterministic for a given seed — chaos
-    runs are replayable.
-    """
-
-    #: Attempts per spec before the batch fails (>= 1).
-    max_attempts: int = 3
-    #: First backoff delay, seconds (0 disables backoff entirely).
-    backoff_base_s: float = 0.05
-    #: Backoff ceiling, seconds.
-    backoff_cap_s: float = 2.0
-    #: Seed for the jitter RNG (delays are deterministic per seed).
-    jitter_seed: int = 0
-
-
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Per-worker health scoring and circuit breaking.
-
-    A worker accumulates one strike per attributed failure (expired
-    lease, digest-mismatched result, transient task error).  At
-    ``trip_after`` consecutive strikes the breaker opens and the
-    worker is *quarantined* — it receives ``wait`` instead of tasks —
-    until ``cooldown_s`` elapses, after which it is put on probation
-    (half-open): one more strike re-trips immediately, one accepted
-    result closes the breaker and clears the strikes.
-    """
-
-    #: Consecutive strikes that open a worker's breaker (0 disables).
-    trip_after: int = 3
-    #: Quarantine duration, seconds.
-    cooldown_s: float = 5.0
-    #: Healthy (connected, non-quarantined) worker floor; when the
-    #: cluster stays below it for ``degrade_after_s``, the executor
-    #: falls back to the local process backend for the remaining specs
-    #: instead of stalling.  0 disables degradation.
-    min_healthy_workers: int = 0
-    #: Grace period below the floor before degrading, seconds.
-    degrade_after_s: float = 5.0
-
-
-@dataclass(frozen=True)
-class ClusterOptions:
-    """Options for the socket-based work-stealing cluster backend."""
-
-    #: Local worker processes to spawn (LocalClusterExecutor); for a
-    #: bare coordinator awaiting external ``repro-worker`` processes
-    #: use :class:`~repro.exec.distributed.ClusterExecutor` directly.
-    workers: int = 2
-    #: Interface the coordinator binds.
-    host: str = "127.0.0.1"
-    #: TCP port (0: pick an ephemeral port).
-    port: int = 0
-    #: Lease seconds before an issued task is presumed lost and requeued.
-    lease_s: float = 60.0
-    #: Retry budget + backoff: ``retry.max_attempts`` bounds both lost
-    #: work and transient task errors per spec; its backoff paces every
-    #: requeue.
-    retry: RetryPolicy = RetryPolicy()
-    #: Worker circuit breaking + graceful-degradation floor.
-    health: HealthPolicy = HealthPolicy()
-    #: Deterministic fault-injection plan (``repro.faults.FaultPlan``)
-    #: threaded through every hook point; None in production.
-    fault_plan: Optional[object] = None

@@ -1,15 +1,15 @@
 """Seeded decorrelated-jitter backoff shared by every retry path.
 
-One schedule — the :class:`~repro.exec.api.RetryPolicy` semantics
-``delay = min(cap, uniform(base, prev * 3))`` — paces every retry in
-the library, and every stream is *reproducible*: the same
-``(seed, run_index, instance, slot)`` tuple yields the identical delay
-sequence on every run, so a flaky-looking retry storm can be replayed
-exactly.  The three consumers each own a stream per identity:
+One schedule paces every retry in the library: exponential backoff
+with *decorrelated jitter* (Brooker, AWS Architecture Blog),
 
-* **cluster requeues** (:mod:`repro.exec.distributed`): one RNG per
-  spec, ``jitter_rng(retry.jitter_seed, 0, spec_index, 0)``, so a
-  spec's delays do not depend on the order in which other specs fail;
+    ``delay = min(cap, uniform(base, prev * 3))``
+
+starting from ``prev = base``.  Every stream is *reproducible*: the
+same ``(seed, run_index, instance, slot)`` tuple yields the identical
+delay sequence on every run, so a flaky-looking retry storm can be
+replayed exactly.  The two consumers each own a stream per identity:
+
 * **live reconnects** (:mod:`repro.live.driver`): one RNG per
   ``(seed, run_index, instance_index, connection_slot)``;
 * **fleet respawns** (:mod:`repro.live.fleet`): one RNG per

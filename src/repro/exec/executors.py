@@ -27,12 +27,14 @@ function on the same input is futile — they propagate immediately.
 An optional :class:`~repro.exec.cache.ResultCache` short-circuits
 execution for specs whose digest is already stored.
 
-The three backends are picked by name (:data:`EXECUTORS`) through
+The two backends are picked by name (:data:`EXECUTORS`) through
 :func:`make_executor`.  Module-level defaults (``set_execution_defaults``
 / the ``execution`` context manager) let entry points like the CLI pick
-``--executor``, ``--workers`` and ``--cache-dir`` once, while every
+``--workers``, ``--retries`` and ``--cache-dir`` once, while every
 driver that was not handed an explicit executor inherits them via
-:func:`default_executor`.
+:func:`default_executor`.  An interrupted batch resumes from the
+cache: each finished result is stored before its progress event is
+emitted, so a re-run on any executor re-runs only the missing specs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from .api import Capabilities, ClusterOptions, HealthPolicy, RetryPolicy
+from .api import Capabilities
 from ..measure.api import backend_is_deterministic, measure_spec
 from .cache import ResultCache
 from .progress import ProgressHook, RunEvent
@@ -352,7 +354,7 @@ class ParallelExecutor(_ExecutorBase):
 # construction by name & process-wide defaults
 # ----------------------------------------------------------------------
 #: The executor backends, by name.
-EXECUTORS = ("serial", "process", "cluster")
+EXECUTORS = ("serial", "process")
 
 
 def make_executor(
@@ -366,11 +368,10 @@ def make_executor(
     """Build an executor by backend name::
 
         make_executor("process", workers=8, timeout=60.0, retries=2)
-        make_executor("cluster", workers=3, lease_s=30.0)
+        make_executor("serial", cache_dir="~/.cache/repro")
 
     ``process`` accepts ``workers``, ``timeout`` and ``retries``;
-    ``cluster`` accepts the :class:`~repro.exec.api.ClusterOptions`
-    fields; ``serial`` takes no options.  An unknown name raises
+    ``serial`` takes no options.  An unknown name raises
     ``ValueError``, an unknown option ``TypeError``.
     """
     if cache is None and cache_dir is not None:
@@ -380,12 +381,6 @@ def make_executor(
     if backend == "process":
         workers = options.pop("workers", None)
         return ParallelExecutor(workers, task=task, cache=cache, **options)
-    if backend == "cluster":
-        from .distributed import LocalClusterExecutor
-
-        return LocalClusterExecutor(
-            options=ClusterOptions(**options), task=task, cache=cache
-        )
     raise ValueError(
         f"unknown executor backend {backend!r}; available: {', '.join(EXECUTORS)}"
     )
@@ -394,41 +389,24 @@ def make_executor(
 _UNSET = object()
 _DEFAULTS = {
     "cache_dir": None,
-    "backend": None,
     "workers": None,
     "retries": None,
-    "min_healthy_workers": None,
-    "fault_plan": None,
 }
 
 
 def set_execution_defaults(
     cache_dir: object = _UNSET,
-    backend: object = _UNSET,
     workers: object = _UNSET,
     retries: object = _UNSET,
-    min_healthy_workers: object = _UNSET,
-    fault_plan: object = _UNSET,
 ) -> None:
     """Set process-wide execution defaults (used by the CLI flags).
 
-    ``backend`` names one of :data:`EXECUTORS`; when unset, ``workers``
-    picks serial (None or 1) or the process pool (more than 1).
-    ``workers`` also sizes a named backend.
-
-    Resilience defaults (applied by the backends that have them — see
-    :func:`default_executor`):
-
-    * ``retries`` — attempt budget per spec (process ``retries`` /
-      cluster ``retry.max_attempts``);
-    * ``min_healthy_workers`` — cluster graceful-degradation floor;
-    * ``fault_plan`` — a ``repro.faults.FaultPlan`` (or injector) for
-      chaos testing; never set in production.
+    ``workers`` picks the backend: None or 1 runs serially, more than
+    1 sizes a process pool.  ``retries`` is the pool's crash/timeout
+    retry budget per spec (the serial backend ignores it).
     """
     if cache_dir is not _UNSET:
         _DEFAULTS["cache_dir"] = cache_dir
-    if backend is not _UNSET:
-        _DEFAULTS["backend"] = backend
     if workers is not _UNSET:
         if workers is not None and int(workers) < 1:
             raise ValueError("workers must be >= 1")
@@ -437,14 +415,6 @@ def set_execution_defaults(
         if retries is not None and int(retries) < 0:
             raise ValueError("retries must be >= 0")
         _DEFAULTS["retries"] = None if retries is None else int(retries)
-    if min_healthy_workers is not _UNSET:
-        if min_healthy_workers is not None and int(min_healthy_workers) < 0:
-            raise ValueError("min_healthy_workers must be >= 0")
-        _DEFAULTS["min_healthy_workers"] = (
-            None if min_healthy_workers is None else int(min_healthy_workers)
-        )
-    if fault_plan is not _UNSET:
-        _DEFAULTS["fault_plan"] = fault_plan
 
 
 def get_execution_defaults() -> dict:
@@ -454,23 +424,13 @@ def get_execution_defaults() -> dict:
 @contextmanager
 def execution(
     cache_dir: object = _UNSET,
-    backend: object = _UNSET,
     workers: object = _UNSET,
     retries: object = _UNSET,
-    min_healthy_workers: object = _UNSET,
-    fault_plan: object = _UNSET,
 ) -> Iterator[dict]:
     """Scoped execution defaults (restores the previous ones on exit)."""
     saved = get_execution_defaults()
     try:
-        set_execution_defaults(
-            cache_dir=cache_dir,
-            backend=backend,
-            workers=workers,
-            retries=retries,
-            min_healthy_workers=min_healthy_workers,
-            fault_plan=fault_plan,
-        )
+        set_execution_defaults(cache_dir=cache_dir, workers=workers, retries=retries)
         yield get_execution_defaults()
     finally:
         _DEFAULTS.clear()
@@ -480,35 +440,17 @@ def execution(
 def default_executor(task: Callable[[object], object] = measure_spec) -> _ExecutorBase:
     """An executor honouring the process-wide defaults.
 
-    An explicitly configured ``backend`` wins; otherwise ``workers``
-    selects serial (None or 1) or the process pool (more than 1).
-    ``retries`` reaches the process pool as ``retries`` and the cluster
-    as ``retry.max_attempts``; ``min_healthy_workers`` and
-    ``fault_plan`` reach the cluster only.
+    ``workers`` selects serial (None or 1) or the process pool (more
+    than 1), which also receives the ``retries`` default.
     """
     workers = _DEFAULTS["workers"]
-    backend = _DEFAULTS["backend"] or ("process" if (workers or 1) > 1 else "serial")
-    retries = _DEFAULTS["retries"]
-    options: Dict[str, object] = {}
-    if backend == "process":
-        if retries is not None:
-            options["retries"] = retries
-    elif backend == "cluster":
-        if retries is not None:
-            # N retries = N + 1 attempts, bounding both lost-work
-            # requeues and transient task errors.
-            options["retry"] = RetryPolicy(max_attempts=retries + 1)
-        if _DEFAULTS["min_healthy_workers"] is not None:
-            options["health"] = HealthPolicy(
-                min_healthy_workers=_DEFAULTS["min_healthy_workers"]
-            )
-        if _DEFAULTS["fault_plan"] is not None:
-            options["fault_plan"] = _DEFAULTS["fault_plan"]
-    if backend != "serial" and workers is not None:
-        options["workers"] = workers
-    return make_executor(
-        backend, task=task, cache_dir=_DEFAULTS["cache_dir"], **options
-    )
+    cache_dir = _DEFAULTS["cache_dir"]
+    if (workers or 1) <= 1:
+        return make_executor("serial", task=task, cache_dir=cache_dir)
+    options: Dict[str, object] = {"workers": workers}
+    if _DEFAULTS["retries"] is not None:
+        options["retries"] = _DEFAULTS["retries"]
+    return make_executor("process", task=task, cache_dir=cache_dir, **options)
 
 
 def execute_specs(

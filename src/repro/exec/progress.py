@@ -31,15 +31,14 @@ class RunEvent:
 
     * ``"run"`` — one completed spec (the original meaning; every
       field is populated);
-    * ``"fault"`` — something went wrong but was contained (lease
-      expired, digest mismatch, worker quarantined, injected fault);
+    * ``"fault"`` — something went wrong but was contained;
       ``detail`` names it, ``index`` is -1;
-    * ``"recovery"`` — the containment succeeded (spec requeued,
-      breaker closed, degradation to a local backend); ``detail``
-      names it, ``index`` is -1.
+    * ``"recovery"`` — the containment succeeded; ``detail`` names it,
+      ``index`` is -1.
 
-    Aggregating hooks must ignore non-``"run"`` events for run math
-    (both shipped hooks do).
+    Neither built-in executor emits ``"fault"`` or ``"recovery"``
+    events; a custom executor may.  Aggregating hooks must ignore
+    non-``"run"`` events for run math (both shipped hooks do).
     """
 
     #: Position of the spec in the submitted batch (-1 for non-run events).
@@ -159,7 +158,7 @@ class Telemetry:
 
     @property
     def faults(self) -> int:
-        """Contained faults observed (lease expiry, mismatch, injected)."""
+        """Contained ``"fault"`` events observed."""
         return sum(1 for e in self.events if e.kind == "fault")
 
     @property

@@ -1,51 +1,31 @@
-"""Wire protocol for the distributed executor (coordinator ⇄ worker).
+"""Wire protocol for supervised child processes (supervisor ⇄ child).
 
-Transport: a single TCP connection per worker carrying *length-prefixed
+Transport: a single TCP connection per child carrying *length-prefixed
 pickle frames* — a 4-byte big-endian unsigned length followed by that
 many payload bytes.  Frames above :data:`MAX_FRAME` are rejected before
 allocation, and a short read raises :class:`ProtocolError` (half a
 frame is indistinguishable from a dead peer, so the connection is
-abandoned and the coordinator's lease machinery requeues the work).
+abandoned).
 
-Every message is a plain dict with a ``"type"`` key.  The conversation
-is strictly request/response, worker-driven:
-
-==========  =================  ============================================
-direction   type               meaning
-==========  =================  ============================================
-w → c       ``hello``          handshake: protocol/library/schema versions
-c → w       ``welcome``        versions compatible, start pulling
-c → w       ``reject``         incompatible versions / bad message
-w → c       ``get``            give me work
-c → w       ``task``           lease: ``task_id``, ``digest``, ``spec``,
-                               ``task_ref`` (``module:qualname``),
-                               ``lease_s``
-c → w       ``wait``           no work right now; poll again in ``poll_s``
-c → w       ``shutdown``       drain and exit
-w → c       ``result``         completed lease: ``task_id``, ``digest``,
-                               ``result``, ``wall_s``
-w → c       ``error``          task raised: ``task_id``, ``digest``,
-                               ``error`` (repr), ``traceback``
-c → w       ``ack``            result accepted (or deduplicated)
-==========  =================  ============================================
+Every message is a plain dict with a ``"type"`` key.  The child opens
+with :func:`hello`; the supervisor answers with :func:`handshake_reply`
+(``welcome`` or ``reject``).  The rest of the conversation belongs to
+the supervisor that speaks it — today the live fleet
+(:mod:`repro.live.fleet`, children ``repro.live.clientproc``), which
+also starts and stops its children through :func:`spawn_module` and
+:func:`reap`.
 
 The handshake pins three versions: :data:`PROTOCOL_VERSION` (this wire
 format), the library version, and the spec schema
-(:data:`~repro.exec.spec.SPEC_SCHEMA`).  A worker built against a
+(:data:`~repro.exec.spec.SPEC_SCHEMA`).  A child built against a
 different spec schema would compute different digests for the same
-content, silently poisoning the digest-keyed dedup — so mismatches are
-rejected at connect time, not discovered at merge time.
+content, so mismatches are rejected at connect time, not discovered
+at merge time.
 
 Pickle is the serialization because specs already guarantee pickle
-round-trip fidelity (see ``tests/test_exec.py``) and workers are
-*trusted* — this protocol targets lab clusters behind a firewall, the
-deployment the paper's methodology assumes, not the open internet.
-
-Both supervisors that speak this protocol — the cluster executor
-(:mod:`repro.exec.distributed`, children ``repro.exec.worker``) and
-the live fleet (:mod:`repro.live.fleet`, children
-``repro.live.clientproc``) — start and stop their children through
-:func:`spawn_module` and :func:`reap`.
+round-trip fidelity (see ``tests/test_exec.py``) and children are
+*trusted* — they are this library, started by this library on the
+same host.
 """
 
 from __future__ import annotations
@@ -73,8 +53,6 @@ __all__ = [
     "recv_msg",
     "hello",
     "handshake_reply",
-    "task_reference",
-    "resolve_task",
     "spawn_module",
     "reap",
 ]
@@ -101,29 +79,12 @@ class FrameTooLarge(ProtocolError):
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def send_frame(sock: socket.socket, payload: bytes, fault: Optional[str] = None) -> None:
-    """Write one length-prefixed frame (atomic via ``sendall``).
-
-    ``fault`` is the deterministic fault-injection hook used by
-    :mod:`repro.faults` — a no-op (``None``) in production:
-
-    * ``"drop_frame"`` — the frame is silently not sent; the caller is
-      expected to abandon the connection, modelling a frame lost to a
-      dying link (TCP would eventually reset it).
-    * ``"truncate_frame"`` — the length prefix and *half* the payload
-      are sent, then nothing; the peer's ``recv_frame`` raises
-      :class:`ProtocolError` mid-frame, exercising the torn-frame
-      abandon/requeue path.
-    """
+def send_frame(sock: socket.socket, payload: bytes) -> None:
+    """Write one length-prefixed frame (atomic via ``sendall``)."""
     if len(payload) > MAX_FRAME:
         raise FrameTooLarge(
             f"refusing to send {len(payload)} byte frame (max {MAX_FRAME})"
         )
-    if fault == "drop_frame":
-        return
-    if fault == "truncate_frame":
-        sock.sendall(_LEN.pack(len(payload)) + payload[: max(1, len(payload) // 2)])
-        return
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
@@ -165,11 +126,9 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
 # ----------------------------------------------------------------------
 # messages
 # ----------------------------------------------------------------------
-def send_msg(
-    sock: socket.socket, msg: Dict[str, object], fault: Optional[str] = None
-) -> None:
-    """Pickle and send one message dict (``fault``: see :func:`send_frame`)."""
-    send_frame(sock, pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL), fault=fault)
+def send_msg(sock: socket.socket, msg: Dict[str, object]) -> None:
+    """Pickle and send one message dict."""
+    send_frame(sock, pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def recv_msg(sock: socket.socket) -> Optional[Dict[str, object]]:
@@ -184,41 +143,6 @@ def recv_msg(sock: socket.socket) -> Optional[Dict[str, object]]:
     if not isinstance(msg, dict) or "type" not in msg:
         raise ProtocolError(f"malformed message (no type): {msg!r}")
     return msg
-
-
-# ----------------------------------------------------------------------
-# task references
-# ----------------------------------------------------------------------
-def task_reference(task: object) -> str:
-    """The ``module:qualname`` reference under which workers import ``task``.
-
-    Task *code* is never shipped over the wire — only this reference —
-    so coordinator and worker must run the same library version, which
-    the handshake enforces.
-    """
-    module = getattr(task, "__module__", None)
-    qualname = getattr(task, "__qualname__", None)
-    if not module or not qualname or "<" in qualname:
-        raise ValueError(
-            f"task {task!r} has no stable import reference "
-            "(lambdas/locals cannot run on remote workers)"
-        )
-    return f"{module}:{qualname}"
-
-
-def resolve_task(ref: str):
-    """Import the callable named by a ``module:qualname`` reference."""
-    import importlib
-
-    module_name, _, qualname = ref.partition(":")
-    if not module_name or not qualname:
-        raise ValueError(f"malformed task reference {ref!r}")
-    obj: object = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    if not callable(obj):
-        raise TypeError(f"task reference {ref!r} is not callable")
-    return obj
 
 
 # ----------------------------------------------------------------------

@@ -84,8 +84,8 @@ def _canonical(obj: object) -> object:
     """Convert ``obj`` into a JSON-serializable canonical form.
 
     The form is stable across processes, interpreter versions, and
-    machines — the digest-keyed dedup of the distributed executor
-    rides on this.  Audit notes:
+    machines — the digest-keyed result cache rides on this.  Audit
+    notes:
 
     * no ``id()``/``hash()``-derived content anywhere;
     * floats are serialized with shortest-round-trip ``repr`` (exact
@@ -98,7 +98,9 @@ def _canonical(obj: object) -> object:
     * ndarrays record their dtype (a float32 and float64 array with
       equal values are different experiments);
     * sets are sorted by canonical JSON (iteration order is
-      hash-seed-dependent and must not leak in).
+      hash-seed-dependent and must not leak in);
+    * a dataclass's ``_RETIRED_FIELDS`` (``(name, canonical value)``
+      pairs) stand in for removed fields at their old default.
     """
     if obj is None or isinstance(obj, (str, bool, int)):
         return obj
@@ -132,6 +134,9 @@ def _canonical(obj: object) -> object:
         body = {
             f.name: _canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
+        # A class lists the fields it removed, with their last default,
+        # so that deleting a field never moves a content digest.
+        body.update(getattr(obj, "_RETIRED_FIELDS", ()))
         return {"__dataclass__": type(obj).__qualname__, "fields": body}
     # Generic objects (workloads, distributions, operation mixes):
     # public instance state, sorted by attribute name.  Private
@@ -254,11 +259,10 @@ class RunSpec:
     def __getstate__(self) -> Dict[str, object]:
         """Drop the memoized digest when pickled.
 
-        A spec travels to remote workers by pickle; the receiving
+        A spec travels to pool workers by pickle; the receiving
         interpreter must *recompute* the digest from content rather
-        than trust a cached hex carried inside the payload — that
-        recompute-and-compare is exactly how version skew between
-        coordinator and worker is detected.
+        than trust a cached hex carried inside the payload, so a
+        result's ``spec_digest`` always describes the spec it ran.
         """
         state = dict(self.__dict__)
         state.pop("_digest", None)

@@ -117,7 +117,9 @@ def make_workload(name: str) -> Workload:
     raise ValueError(f"unknown workload {name!r}")
 
 
-_STUDY_CACHE: Dict[Tuple[str, float, str, int], AttributionReport] = {}
+_STUDY_CACHE: Dict[
+    Tuple[str, float, str, int, Tuple[float, ...]], AttributionReport
+] = {}
 
 
 def attribution_report(
@@ -131,9 +133,10 @@ def attribution_report(
 
     Five artifacts (Table IV, Figs. 7-12) derive from the same sweeps;
     caching keeps the benchmark suite's runtime linear in the number of
-    distinct sweeps rather than artifacts.
+    distinct sweeps rather than artifacts.  The key includes ``taus``:
+    a call asking for other quantiles gets fits at those quantiles.
     """
-    key = (workload, round(utilization, 4), scale, seed)
+    key = (workload, round(utilization, 4), scale, seed, tuple(map(float, taus)))
     if key not in _STUDY_CACHE:
         sc = get_scale(scale)
         config = AttributionConfig(

@@ -48,8 +48,8 @@ def run(
     executor:
         How to schedule the runs: None uses the direct in-process path
         for a single spec and the process-wide default executor for
-        scenarios; a string names an executor backend (``"serial"``,
-        ``"process"``, ``"cluster"``); anything with a
+        scenarios; a string names an executor backend (``"serial"``
+        or ``"process"``); anything with a
         ``.run(specs, progress=...)`` method is used as-is (and not
         closed).
     progress:

@@ -1,15 +1,15 @@
-"""Deterministic fault injection and chaos testing for the exec stack.
+"""Deterministic fault injection and chaos testing.
 
 The package has two halves:
 
 - :mod:`repro.faults.plan` — seeded, content-digestable
   :class:`FaultPlan` schedules and the :class:`FaultInjector` that
-  fires them at explicit hook points threaded through
-  ``repro.exec`` (all no-ops in production).
-- :mod:`repro.faults.harness` — the chaos harness, whose
-  :func:`run_chaos` asserts the executor invariant: under any fault
-  plan, a cluster run is bit-identical to serial or fails with a
-  clean, attributed error — never a hang, never silent data loss.
+  fires them at explicit hook points in the result cache and the live
+  stack (all no-ops in production).
+- :mod:`repro.faults.harness` — the deterministic :class:`ChaosSpec`
+  reference workload and the live-fleet chaos experiment, whose
+  invariant is: converged (possibly degraded) or a clean, attributed
+  error — never a hang.
 
 ``repro.exec`` never imports this package; the coupling is one-way
 (duck-typed ``fire(site)`` hooks), so production code paths carry no
@@ -17,12 +17,10 @@ chaos machinery.
 """
 
 from .harness import (
-    ChaosReport,
     ChaosResult,
     ChaosSpec,
     chaos_task,
     result_signature,
-    run_chaos,
 )
 from .plan import FAULT_KINDS, KIND_SITES, FaultAction, FaultInjector, FaultPlan
 
@@ -34,8 +32,6 @@ __all__ = [
     "FaultPlan",
     "ChaosSpec",
     "ChaosResult",
-    "ChaosReport",
     "chaos_task",
     "result_signature",
-    "run_chaos",
 ]

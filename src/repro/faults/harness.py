@@ -1,59 +1,31 @@
-"""The chaos harness: run a reference sweep under injected faults and
-check the executor's one honest promise.
+"""The chaos harness: a deterministic reference workload and the live
+fleet's chaos experiment.
 
-**The chaos invariant** (acceptance gate of the fault-injection PR):
-
-    Under any FaultPlan, a cluster run either produces results
-    *bit-identical* to :class:`~repro.exec.executors.SerialExecutor`,
-    or fails with a clean, attributed :class:`~repro.exec.ExecError` —
-    never a hang, never silent data loss.
-
-:func:`run_chaos` drives one seeded chaos experiment end to end:
-
-1. build a batch of cheap, deterministic :class:`ChaosSpec` work
-   (digestable + cacheable like real ``RunSpec`` experiments, but
-   milliseconds each so a seed × cluster-size matrix stays fast);
-2. compute the serial reference signatures;
-3. run the same batch on a :class:`~repro.exec.LocalClusterExecutor`
-   wired with a seeded :class:`~repro.faults.plan.FaultPlan` injector,
-   a result cache, retry budgets, circuit breakers, and a
-   healthy-worker floor;
-4. when an injected ``coordinator_restart`` kills the run loop
-   (:class:`~repro.exec.distributed.SimulatedCrash`), restart from
-   the cache — the injector is *shared* across restarts so consumed
-   faults never re-fire;
-5. compare against the reference and report.
-
-The harness is also the reference driver for operating real chaos
-runs from the CLI (``repro chaos --seed N``-style usage in tests).
+* :class:`ChaosSpec` / :func:`chaos_task` — cheap, deterministic,
+  digestable and cacheable work (milliseconds per spec), the
+  stand-in for real ``RunSpec`` experiments in the cache-hardening and
+  restart-from-cache tests (``tests/test_faults.py``);
+* :func:`run_live_chaos` — one seeded live-fleet chaos experiment,
+  checked against the live chaos invariant (:class:`LiveChaosReport`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..exec.api import ClusterOptions, HealthPolicy, RetryPolicy
-from ..exec.cache import ResultCache
-from ..exec.distributed import LocalClusterExecutor, SimulatedCrash
-from ..exec.executors import ExecError, SerialExecutor
-from ..exec.progress import Telemetry
-from .plan import FaultAction, FaultInjector, FaultPlan
+from .plan import FaultPlan
 
 __all__ = [
     "ChaosSpec",
     "ChaosResult",
     "chaos_task",
     "result_signature",
-    "ChaosReport",
-    "run_chaos",
     "LiveChaosReport",
     "run_live_chaos",
 ]
@@ -144,172 +116,13 @@ def result_signature(result: ChaosResult) -> Tuple[str, Tuple, str]:
 
 
 # ----------------------------------------------------------------------
-# the chaos experiment
-# ----------------------------------------------------------------------
-@dataclass
-class ChaosReport:
-    """Outcome of one seeded chaos run (the invariant's evidence)."""
-
-    seed: int
-    workers: int
-    plan_digest: str
-    kinds: Tuple[str, ...]
-    identical: bool = False
-    clean_failure: Optional[str] = None
-    restarts: int = 0
-    faults_observed: int = 0
-    recoveries_observed: int = 0
-    fired: List[Tuple[str, int, str]] = field(default_factory=list)
-    degraded: bool = False
-    #: Specs the last restarted incarnation served from the cache.
-    resumed_from_cache: int = 0
-    wall_s: float = 0.0
-
-    @property
-    def invariant_holds(self) -> bool:
-        """Bit-identical to serial, or a clean attributed failure."""
-        return self.identical or self.clean_failure is not None
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "workers": self.workers,
-            "plan": self.plan_digest[:12],
-            "kinds": list(self.kinds),
-            "identical": self.identical,
-            "clean_failure": self.clean_failure,
-            "restarts": self.restarts,
-            "faults": self.faults_observed,
-            "recoveries": self.recoveries_observed,
-            "fired": [list(f) for f in self.fired],
-            "degraded": self.degraded,
-            "resumed_from_cache": self.resumed_from_cache,
-            "wall_s": round(self.wall_s, 3),
-            "invariant_holds": self.invariant_holds,
-        }
-
-
-def _cluster_options(
-    workers: int,
-    lease_s: float,
-    injector: FaultInjector,
-    seed: int,
-) -> ClusterOptions:
-    return ClusterOptions(
-        workers=workers,
-        lease_s=lease_s,
-        retry=RetryPolicy(
-            max_attempts=8,
-            backoff_base_s=0.02,
-            backoff_cap_s=0.25,
-            jitter_seed=seed,
-        ),
-        health=HealthPolicy(
-            trip_after=3,
-            cooldown_s=2.0 * lease_s,
-            min_healthy_workers=1,
-            degrade_after_s=4.0 * lease_s,
-        ),
-        fault_plan=injector,
-    )
-
-
-def run_chaos(
-    seed: int,
-    workers: int = 2,
-    n_specs: int = 10,
-    lease_s: float = 1.0,
-    plan: Optional[FaultPlan] = None,
-    include_restart: bool = False,
-    max_restarts: int = 4,
-    work_dir: Optional[str] = None,
-) -> ChaosReport:
-    """Run one seeded chaos experiment; returns its :class:`ChaosReport`.
-
-    ``plan=None`` draws ``FaultPlan.generate(seed, hang_s=2.5*lease_s)``;
-    ``include_restart=True`` appends a ``coordinator_restart`` action,
-    and the harness then resumes from the cache with the *same*
-    injector (consumed faults never re-fire, so restarts are bounded by
-    the plan, with ``max_restarts`` as a backstop).
-    """
-    t0 = time.perf_counter()
-    specs = [ChaosSpec(payload=i, salt=seed) for i in range(n_specs)]
-    with SerialExecutor(task=chaos_task) as serial:
-        reference = [result_signature(r) for r in serial.run(specs)]
-
-    if plan is None:
-        plan = FaultPlan.generate(seed, n_faults=3, hang_s=2.5 * lease_s)
-    if include_restart and "coordinator_restart" not in plan.kinds():
-        plan = plan.with_action(
-            FaultAction(kind="coordinator_restart", site="coordinator.loop", nth=2)
-        )
-    injector = plan.injector()
-
-    tmp: Optional[tempfile.TemporaryDirectory] = None
-    if work_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        work_dir = tmp.name
-    root = Path(work_dir)
-    cache = ResultCache(root / "cache")
-
-    report = ChaosReport(
-        seed=seed,
-        workers=workers,
-        plan_digest=plan.digest(),
-        kinds=plan.kinds(),
-    )
-    results = None
-    degraded = False
-    try:
-        while True:
-            executor = LocalClusterExecutor(
-                options=_cluster_options(workers, lease_s, injector, seed),
-                task=chaos_task,
-                cache=cache,
-            )
-            telemetry = Telemetry()
-            restarted = report.restarts > 0
-            try:
-                results = executor.run(specs, progress=telemetry)
-                break
-            except SimulatedCrash:
-                report.restarts += 1
-                if report.restarts > max_restarts:
-                    report.clean_failure = (
-                        f"gave up after {report.restarts} coordinator restarts"
-                    )
-                    break
-            except ExecError as err:
-                # The clean, attributed failure arm of the invariant.
-                report.clean_failure = f"{type(err).__name__}: {err}"
-                break
-            finally:
-                degraded = degraded or executor.degraded
-                executor.close()
-                report.faults_observed += telemetry.faults
-                report.recoveries_observed += telemetry.recoveries
-                if restarted:
-                    report.resumed_from_cache = telemetry.cache_hits
-        if results is not None:
-            report.identical = [result_signature(r) for r in results] == reference
-        report.degraded = degraded
-        report.fired = list(injector.fired)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
-    report.wall_s = time.perf_counter() - t0
-    return report
-
-
-# ----------------------------------------------------------------------
 # the live-fleet chaos experiment
 # ----------------------------------------------------------------------
 @dataclass
 class LiveChaosReport:
     """Outcome of one seeded *live-fleet* chaos run.
 
-    **The live chaos invariant** (the fleet counterpart of the
-    executor invariant above):
+    **The live chaos invariant**:
 
         Under any live FaultPlan, a fleet measurement either
         *converges* — possibly degraded, with the losses accounted on
@@ -373,8 +186,7 @@ def run_live_chaos(
     against it, with one *shared* injector wired into both the fleet
     supervisor (``fleet.spawn`` / ``fleet.heartbeat``) and the server
     (``server.connection``) — so a plan's occurrence counting spans
-    the whole experiment, exactly like the executor harness shares its
-    injector across coordinator restarts.  ``plan=None`` draws
+    the whole experiment.  ``plan=None`` draws
     :meth:`FaultPlan.generate_live`.
 
     The measurement runs on a watchdog thread: if it neither returns

@@ -2,32 +2,20 @@
 
 Treadmill's argument is that trustworthy tail numbers require
 controlling every source of measurement disturbance — including the
-measurement infrastructure itself.  This module makes the executor's
-failure handling *testable the same way experiments are*: a
-:class:`FaultPlan` is a frozen, content-digestable schedule of faults
+measurement infrastructure itself.  This module makes the cache's and
+the live fleet's failure handling *testable the same way experiments
+are*: a :class:`FaultPlan` is a frozen, content-digestable schedule of faults
 drawn from a seeded RNG, so a chaos run is described by a value (plan
 digest) exactly like an experiment is described by a ``RunSpec``
 digest.  Same seed ⇒ same plan ⇒ same injection decisions.
 
-Injection is via **explicit hook points** threaded through the exec
-stack — never monkeypatching — and every hook is a no-op in
-production (``injector is None``):
+Injection is via **explicit hook points** threaded through the cache
+and the live stack — never monkeypatching — and every hook is a no-op
+in production (``injector is None``):
 
 ==================  =====================================================
 site                where it is consulted
 ==================  =====================================================
-``worker.task``     ``repro.exec.worker.serve`` before executing a task
-                    (``worker_crash`` / ``worker_hang`` / ``slow_worker``)
-``worker.result``   before sending a result (``corrupt_result`` poisons
-                    the digest echo)
-``worker.send``     the result frame itself (``drop_frame`` /
-                    ``truncate_frame``)
-``coordinator.send``  ``Coordinator._send`` for every outbound message
-                    (``drop_frame`` / ``truncate_frame``)
-``coordinator.recv``  ``Coordinator._serve_conn`` per inbound message
-                    (``drop_frame`` / ``truncate_frame`` — torn receive)
-``coordinator.loop``  ``ClusterExecutor.run`` each scheduler iteration
-                    (``coordinator_restart`` raises ``SimulatedCrash``)
 ``cache.put``       ``ResultCache.put`` after a store
                     (``corrupt_cache_entry`` flips payload bytes)
 ``fleet.spawn``     ``repro.live.fleet`` per client-process spawn
@@ -40,9 +28,7 @@ site                where it is consulted
 ==================  =====================================================
 
 An action fires on the *nth* arrival at its site and is consumed (at
-most once per injector).  Worker processes build their own injector
-from the serialized plan (``--fault-plan``), so occurrence counting is
-per-process — deterministic given each process's own event order.
+most once per injector).
 """
 
 from __future__ import annotations
@@ -51,7 +37,7 @@ import hashlib
 import json
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -80,29 +66,13 @@ LIVE_FAULT_KINDS: Tuple[str, ...] = (
     "endpoint_reset",
 )
 
-#: Every fault kind the harness knows how to inject (cluster executor
-#: kinds first, then the live-fleet kinds).
-FAULT_KINDS: Tuple[str, ...] = (
-    "worker_crash",
-    "worker_hang",
-    "slow_worker",
-    "drop_frame",
-    "truncate_frame",
-    "corrupt_result",
-    "corrupt_cache_entry",
-    "coordinator_restart",
-) + LIVE_FAULT_KINDS
+#: Every fault kind the harness knows how to inject (the result-cache
+#: kind first, then the live-fleet kinds).
+FAULT_KINDS: Tuple[str, ...] = ("corrupt_cache_entry",) + LIVE_FAULT_KINDS
 
 #: Hook sites each kind may be scheduled at (the RNG picks one).
 KIND_SITES: Dict[str, Tuple[str, ...]] = {
-    "worker_crash": ("worker.task",),
-    "worker_hang": ("worker.task",),
-    "slow_worker": ("worker.task",),
-    "corrupt_result": ("worker.result",),
-    "drop_frame": ("coordinator.send", "worker.send"),
-    "truncate_frame": ("coordinator.send", "worker.send"),
     "corrupt_cache_entry": ("cache.put",),
-    "coordinator_restart": ("coordinator.loop",),
     "client_proc_crash": ("fleet.spawn",),
     "client_proc_hang": ("fleet.spawn",),
     "fleet_frame_drop": ("fleet.heartbeat",),
@@ -119,7 +89,7 @@ class FaultAction:
     kind: str
     site: str
     nth: int = 1
-    #: Sleep duration for ``worker_hang`` / ``slow_worker``.
+    #: Delay before a ``client_proc_crash`` exits the client process.
     seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -138,10 +108,9 @@ class FaultAction:
 class FaultPlan:
     """A frozen, content-digestable schedule of faults.
 
-    Build one explicitly from actions, or draw one from a seeded RNG
-    with :meth:`generate`.  Plans serialize to JSON (``to_json`` /
-    ``from_json``) so ``repro-worker --fault-plan`` can reconstruct
-    them in worker processes.
+    Build one explicitly from actions, or draw a live-fleet plan from
+    a seeded RNG with :meth:`generate_live`.  Plans serialize to JSON
+    (``to_json`` / ``from_json``) with their digest intact.
     """
 
     seed: int = 0
@@ -151,48 +120,6 @@ class FaultPlan:
         object.__setattr__(self, "actions", tuple(self.actions))
 
     # -- construction --------------------------------------------------
-    @classmethod
-    def generate(
-        cls,
-        seed: int,
-        n_faults: int = 3,
-        kinds: Optional[Sequence[str]] = None,
-        max_nth: int = 3,
-        hang_s: float = 2.0,
-        slow_s: float = 0.2,
-    ) -> "FaultPlan":
-        """Draw a plan from a seeded RNG (pure function of arguments).
-
-        ``kinds`` restricts the palette (default: every *executor* kind
-        except ``coordinator_restart``, which needs a restart-capable
-        driver — the chaos harness adds it deliberately.  The live
-        kinds are likewise excluded: they target a different harness,
-        :meth:`generate_live`, and admitting them here would reshuffle
-        every historical seeded plan).
-        """
-        rng = random.Random(seed)
-        excluded = {"coordinator_restart", *LIVE_FAULT_KINDS}
-        palette = list(kinds if kinds is not None else
-                       [k for k in FAULT_KINDS if k not in excluded])
-        actions: List[FaultAction] = []
-        for _ in range(n_faults):
-            kind = rng.choice(palette)
-            site = rng.choice(KIND_SITES[kind])
-            seconds = 0.0
-            if kind == "worker_hang":
-                seconds = hang_s
-            elif kind == "slow_worker":
-                seconds = slow_s
-            actions.append(
-                FaultAction(
-                    kind=kind,
-                    site=site,
-                    nth=rng.randint(1, max_nth),
-                    seconds=seconds,
-                )
-            )
-        return cls(seed=seed, actions=tuple(actions))
-
     @classmethod
     def generate_live(
         cls,
@@ -208,7 +135,7 @@ class FaultPlan:
         on a ``client_proc_crash`` is the in-process delay before the
         abrupt exit (mid-measurement, not at start-up).
         """
-        # Distinct stream from generate(): same seed, different harness.
+        # The "live:" prefix keeps every historical seeded plan intact.
         rng = random.Random(f"live:{seed}")
         palette = list(kinds if kinds is not None else LIVE_FAULT_KINDS)
         actions: List[FaultAction] = []
@@ -288,9 +215,9 @@ class FaultInjector:
     ``fire(site)`` increments the site's arrival counter and returns
     the (at most one) un-consumed action scheduled for that arrival,
     else None.  Each action fires at most once per injector; sharing
-    one injector across coordinator restarts (as the chaos harness
-    does) therefore guarantees a ``coordinator_restart`` fault cannot
-    re-fire forever.
+    one injector between the fleet supervisor and the reference
+    server (as the live chaos harness does) therefore counts every
+    site once across the whole experiment.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -300,14 +227,6 @@ class FaultInjector:
         self._consumed: set = set()
         #: (site, arrival_n, kind) tuples, for assertions and reports.
         self.fired: List[Tuple[str, int, str]] = []
-
-    def injector(self) -> "FaultInjector":
-        """Duck-type compatibility with FaultPlan (returns itself), so
-        ``ClusterOptions.fault_plan`` accepts either."""
-        return self
-
-    def to_json(self) -> str:
-        return self.plan.to_json()
 
     def fire(self, site: str):
         """Consult the plan at a hook point; returns a FaultAction or None."""

@@ -16,7 +16,7 @@ Quick start::
 
 The detectors are pure functions of ``(spec, result, capabilities,
 thresholds)``; on deterministic backends the verdicts are bit-identical
-across serial/process/cluster executors because they are computed
+across the serial and process executors because they are computed
 inside the measurement itself and travel with the pickled result.  See
 ``DESIGN.md`` §10 and :mod:`repro.guards.detectors` for the catalogue.
 """

@@ -47,8 +47,8 @@ def host_fingerprint() -> str:
 def parallel_meaningful(cpu_count: Optional[int] = None) -> bool:
     """Whether parallel speedup numbers from this host mean anything.
 
-    On a single-CPU host a process pool or local cluster can only
-    interleave, so wall-clock "speedups" there measure overhead.
+    On a single-CPU host a process pool can only interleave, so
+    wall-clock "speedups" there measure overhead.
     """
     n = cpu_count if cpu_count is not None else os.cpu_count()
     return (n or 1) > 1

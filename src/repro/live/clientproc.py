@@ -1,9 +1,9 @@
 """One fleet client process: ``python -m repro.live.clientproc``.
 
 The worker side of the :mod:`repro.live.fleet` supervisor.  A client
-process connects *back* to its supervisor over the PR-2 length-prefixed
-frame protocol (:mod:`repro.exec.protocol` — same versioned handshake
-as the cluster executor's workers), receives its slice of
+process connects *back* to its supervisor over the length-prefixed
+frame protocol (:mod:`repro.exec.protocol`, with its versioned
+handshake), receives its slice of
 :class:`~repro.live.driver.InstanceAssignment` work orders, and runs
 them on the unchanged in-process driver core
 (:func:`~repro.live.driver.drive_assignments`): the identical

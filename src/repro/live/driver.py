@@ -46,9 +46,8 @@ robustness layer):
 
 * a **health probe** before warm-up fails fast on a dead endpoint;
 * a dropped connection is **reconnected** with bounded exponential
-  backoff and decorrelated jitter (the
-  :class:`~repro.exec.api.RetryPolicy` schedule, seeded per
-  ``(seed, run_index, instance, slot)`` — :mod:`repro.exec.backoff`),
+  backoff and decorrelated jitter (the :mod:`repro.exec.backoff`
+  schedule, seeded per ``(seed, run_index, instance, slot)``),
   its in-flight requests counted lost;
 * a connection whose reconnect budget is exhausted is **salvaged**:
   its sends re-route to the surviving connections and the run
@@ -178,7 +177,7 @@ class LiveOptions:
     #: ``max_lost_connection_fraction``).
     reconnect_attempts: int = 4
     #: Reconnect backoff: first retry delay (decorrelated jitter grows
-    #: it towards the cap, RetryPolicy semantics).
+    #: it towards the cap, :mod:`repro.exec.backoff` semantics).
     reconnect_backoff_base_s: float = 0.05
     #: Reconnect backoff ceiling.
     reconnect_backoff_cap_s: float = 1.0
@@ -722,8 +721,8 @@ class _LiveInstance:
         continues degraded on the surviving connections.
         """
         label = f"{self.name}/conn{slot}"
-        # Seeded decorrelated-jitter schedule (RetryPolicy semantics;
-        # repro.exec.backoff pins its determinism).
+        # Seeded decorrelated-jitter schedule (repro.exec.backoff
+        # pins its determinism).
         backoff_rng = jitter_rng(
             self.spec.seed, self.spec.run_index, self.index, slot
         )
@@ -754,8 +753,7 @@ class _LiveInstance:
     async def _reconnect(self, host: str, port: int, conn: _Conn, rng) -> bool:
         """Bounded exponential backoff with decorrelated jitter:
         ``delay = min(cap, uniform(base, prev * 3))`` between attempts
-        (the :class:`~repro.exec.api.RetryPolicy` schedule — see
-        :mod:`repro.exec.backoff`)."""
+        (see :mod:`repro.exec.backoff`)."""
         opts = self.options
         delay = opts.reconnect_backoff_base_s
         for attempt in range(opts.reconnect_attempts):

@@ -11,9 +11,8 @@ RNG registry keys gap streams by instance *name*, so the fleet's
 offered load composes to the identical schedule, process boundaries
 notwithstanding.
 
-The supervisor is deliberately the same shape as the PR-3 cluster
-coordinator, because a fleet is only trustworthy if it survives its
-own failures:
+The supervisor is built to survive its own failures, because a fleet
+is only trustworthy if it does:
 
 * clients connect back over the PR-2 **frame protocol** with the
   versioned handshake, then stream **heartbeats** (progress counters,

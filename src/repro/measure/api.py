@@ -403,7 +403,7 @@ def _attach_guards(spec: object, result: object, backend: MeasurementBackend) ->
     Runs inside ``measure_spec`` — i.e. inside whatever worker process
     executed the spec — so verdicts are computed once from the
     bit-identical result and ride along in the executor's pickles:
-    serial, process-pool, and cluster lanes all see the same
+    serial and process-pool lanes both see the same
     ``result.guards``.  Third-party results that reject attribute
     assignment (slots, frozen) are returned un-audited; the guard
     layer never turns a successful measurement into a failure.

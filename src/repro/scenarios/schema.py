@@ -243,10 +243,6 @@ class ScenarioSpec:
     factors: Tuple[ScenarioFactor, ...] = ()
     #: Optional SpineConfig override dict for the cross-rack fabric.
     spine: Optional[Mapping] = None
-    #: Optional fault plan dict (``repro.faults.plan.FaultPlan`` JSON);
-    #: applied at the execution layer by drivers that honour it (the
-    #: CLI installs it as the execution-scope fault plan).
-    fault_plan: Optional[Mapping] = None
     #: Independent runs per factor configuration.
     replications: int = 1
     quantiles: Tuple[float, ...] = (0.5, 0.95, 0.99)
@@ -256,6 +252,10 @@ class ScenarioSpec:
     description: str = ""
     schema: int = SCENARIO_SCHEMA
 
+    #: ``fault_plan`` (removed in 4.0) stays in the content digest at
+    #: its old default, so every scenario RunSpec keeps its digest.
+    _RETIRED_FIELDS = (("fault_plan", None),)
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must be non-empty")
@@ -264,7 +264,6 @@ class ScenarioSpec:
         object.__setattr__(self, "antagonists", tuple(self.antagonists))
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "spine", _freeze_dict(self.spine))
-        object.__setattr__(self, "fault_plan", _freeze_dict(self.fault_plan))
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(
             self, "quantiles", tuple(float(q) for q in self.quantiles)

@@ -27,9 +27,6 @@ class TestParser:
             (["--workers", "0"], "--workers"),
             (["--workers", "two"], "--workers"),
             (["--retries", "-1"], "--retries"),
-            (["--min-healthy-workers", "-1"], "--min-healthy-workers"),
-            (["--fault-plan", "{bad"], "--fault-plan"),
-            (["--fault-plan", "[1]"], "--fault-plan"),
         ],
     )
     def test_bad_execution_flags_exit_2_naming_the_flag(self, capsys, flags, named):
@@ -37,6 +34,29 @@ class TestParser:
             main(["run", "tab1", "--scale", "quick", *flags])
         assert exc.value.code == 2
         assert f"argument {named}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--executor", "cluster"],
+            ["--min-healthy-workers", "1"],
+            ["--fault-plan", "{}"],
+        ],
+    )
+    def test_removed_cluster_flags_exit_2(self, capsys, flags):
+        """The socket-cluster flags were removed in 4.0; each is now an
+        unrecognized argument, never silently ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "tab1", "--scale", "quick", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+    def test_chaos_requires_live(self, capsys):
+        """Only the live half of ``repro chaos`` remains."""
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--live" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -4,8 +4,8 @@
 * construction by name (`make_executor` over `EXECUTORS`, option
   kwargs, rejection of unknown names/options and the removed `jobs=`
   spelling),
-* the `default_executor` / `execution` plumbing for named backends and
-  the CLI's `--executor/--workers` flags,
+* the `default_executor` / `execution` plumbing and the CLI's
+  `--workers` flag,
 * `_canonical` regression tests: sort-order and float/key
   canonicalization, plus spec/result pickle round-trips across
   protocol versions.
@@ -20,9 +20,7 @@ import pytest
 from repro.exec import (
     EXECUTORS,
     Capabilities,
-    ClusterOptions,
     Executor,
-    LocalClusterExecutor,
     ParallelExecutor,
     RunSpec,
     SerialExecutor,
@@ -59,13 +57,11 @@ class TestExecutorProtocol:
     def test_all_builtin_backends_satisfy_the_protocol(self):
         serial = SerialExecutor()
         pool = ParallelExecutor(max_workers=2)
-        cluster = LocalClusterExecutor(workers=1)
         try:
-            for executor in (serial, pool, cluster):
+            for executor in (serial, pool):
                 assert isinstance(executor, Executor)
         finally:
             pool.close()
-            cluster.close()
 
     def test_capabilities_are_backend_specific(self):
         assert SerialExecutor().capabilities() == Capabilities(backend="serial")
@@ -81,7 +77,7 @@ class TestExecutorProtocol:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert EXECUTORS == ("serial", "process", "cluster")
+        assert EXECUTORS == ("serial", "process")
 
     def test_make_executor_by_name(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
@@ -100,24 +96,18 @@ class TestRegistry:
             assert pool.retries == 3
         finally:
             pool.close()
-        cluster = make_executor("cluster", workers=1, lease_s=30.0)
-        try:
-            assert cluster.options == ClusterOptions(workers=1, lease_s=30.0)
-        finally:
-            cluster.close()
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="serial, process, cluster"):
+        with pytest.raises(ValueError, match="available: serial, process$"):
             make_executor("teleport")
+        # The socket cluster was removed in 4.0; its name is unknown now.
+        with pytest.raises(ValueError, match="unknown executor backend 'cluster'"):
+            make_executor("cluster", workers=2)
 
     def test_unknown_option_rejected(self):
         for backend in EXECUTORS:
             with pytest.raises(TypeError, match="warp_factor"):
                 make_executor(backend, warp_factor=9)
-
-    def test_options_and_kwargs_are_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
-            LocalClusterExecutor(options=ClusterOptions(), workers=2)
 
 
 class TestDeprecatedSurface:
@@ -144,10 +134,15 @@ class TestDeprecatedSurface:
 # ----------------------------------------------------------------------
 class TestBackendDefaults:
     def test_default_executor_honours_backend_name(self):
-        with execution(backend="process", workers=2):
+        """``workers`` alone names the backend; there is no separate
+        backend default to set."""
+        with execution(workers=2):
             with default_executor() as ex:
                 assert isinstance(ex, ParallelExecutor)
                 assert ex.max_workers == 2
+        with pytest.raises(TypeError, match="backend"):
+            with execution(backend="process"):
+                pass
 
     def test_workers_alone_pick_serial_or_process(self):
         assert isinstance(default_executor(), SerialExecutor)
@@ -157,8 +152,6 @@ class TestBackendDefaults:
             with default_executor() as ex:
                 assert isinstance(ex, ParallelExecutor)
                 assert ex.max_workers == 3
-        with execution(backend="serial", workers=3):
-            assert isinstance(default_executor(), SerialExecutor)
 
     def test_default_executor_never_warns(self):
         with warnings.catch_warnings():
@@ -169,11 +162,9 @@ class TestBackendDefaults:
     def test_cli_flags_reach_the_defaults(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["run", "fig1", "--executor", "cluster", "--workers", "3"]
-        )
-        assert args.executor == "cluster"
+        args = build_parser().parse_args(["run", "fig1", "--workers", "3"])
         assert args.workers == 3
+        assert not hasattr(args, "executor")
 
     @pytest.mark.parametrize(
         "workers, kind, size",
@@ -194,6 +185,8 @@ class TestBackendDefaults:
                     assert ex.max_workers == size
 
     def test_cli_rejects_unknown_backend_fast(self, capsys):
+        """``--executor`` was removed in 4.0 (``--workers`` decides);
+        any use of it fails at parse time."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
@@ -206,8 +199,9 @@ class TestBackendDefaults:
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("serial", "process", "cluster"):
+        for name in ("serial", "process"):
             assert name in out
+        assert "cluster" not in out
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for experiment machinery: scales, caching, rendering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ class TestStudyCache:
         a = attribution_report("memcached", 0.6, scale="quick", seed=99, taus=(0.5,))
         b = attribution_report("memcached", 0.6, scale="quick", seed=98, taus=(0.5,))
         assert a is not b
+
+    def test_taus_are_part_of_the_key(self, monkeypatch):
+        """A second call with other taus gets fits at its own taus, not
+        the first call's."""
+        tiny = dataclasses.replace(
+            SCALES["quick"],
+            name="tiny",
+            replications=1,
+            instances=1,
+            samples_per_instance=200,
+            warmup=50,
+            n_boot=0,
+        )
+        monkeypatch.setitem(SCALES, "tiny", tiny)
+        a = attribution_report("memcached", 0.6, scale="tiny", seed=3, taus=(0.5,))
+        b = attribution_report("memcached", 0.6, scale="tiny", seed=3, taus=(0.9, 0.99))
+        assert a.taus == (0.5,) and sorted(a.fits) == [0.5]
+        assert b.taus == (0.9, 0.99) and sorted(b.fits) == [0.9, 0.99]
+        assert attribution_report(
+            "memcached", 0.6, scale="tiny", seed=3, taus=[0.5]
+        ) is a
 
 
 class TestFormatTable:

@@ -191,6 +191,15 @@ class TestStrictLoading:
         with pytest.raises(ValueError, match="spine"):
             scenario_from_json(minimal_doc(spine={"warp": 9}))
 
+    def test_removed_fault_plan_key_rejected(self):
+        """``fault_plan`` was removed in 4.0 (it only ever reached the
+        socket cluster); a document carrying it is refused, not run
+        without its faults."""
+        with pytest.raises(ValueError, match="fault_plan"):
+            scenario_from_json(minimal_doc(fault_plan={"version": 1, "actions": []}))
+        with pytest.raises(TypeError, match="fault_plan"):
+            tiny_scenario(fault_plan={})
+
     def test_bad_factor_level_caught_at_load_time(self):
         # the loader pre-substitutes both factor corners, so a level the
         # schema rejects fails at load, not mid-sweep
