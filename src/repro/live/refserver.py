@@ -51,7 +51,6 @@ import numpy as np
 
 from ..workloads.generators import Distribution, distribution_from_spec
 from .protocol import (
-    PING,
     PONG,
     decode_request,
     encode_http_response,

@@ -45,7 +45,6 @@ from typing import (
     Callable,
     Dict,
     Iterator,
-    Optional,
     Protocol,
     Tuple,
     Type,

@@ -19,7 +19,7 @@ pure function of the scenario.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.bench import drive_until
 from ..core.config import hardware_from_json, workload_from_json

@@ -31,7 +31,6 @@ from ..core.config import (
 )
 from ..sim.network import LinkConfig, SpineConfig
 from .schema import (
-    SCENARIO_SCHEMA,
     AntagonistSpec,
     ClientFleetSpec,
     ScenarioFactor,

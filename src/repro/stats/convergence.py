@@ -22,7 +22,6 @@ import math
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["RunningQuantileTracker", "MeanConvergence"]
 
@@ -126,7 +125,11 @@ class MeanConvergence:
         sd = float(np.std(self.values, ddof=1))
         if sd == 0.0:
             return 0.0
-        t = _scipy_stats.t.ppf(0.5 + self.confidence / 2.0, df=n - 1)
+        # scipy.stats.t.ppf(q, df) is this ufunc; calling it directly
+        # keeps scipy.stats out of the process.
+        from scipy.special import stdtrit
+
+        t = stdtrit(n - 1, 0.5 + self.confidence / 2.0)
         return float(t * sd / math.sqrt(n))
 
     def is_converged(self) -> bool:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .design import model_matrix
 from .quantreg import (
@@ -272,7 +271,11 @@ def fit_with_inference(
         stderr = boots.std(axis=0, ddof=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(stderr > 0, result.coefficients / stderr, np.inf)
-        p_values = 2.0 * _scipy_stats.norm.sf(np.abs(z))
+        # scipy.stats.norm.sf(x) is ndtr(-x); calling the ufunc
+        # directly keeps scipy.stats out of the process.
+        from scipy.special import ndtr
+
+        p_values = 2.0 * ndtr(-np.abs(z))
         result.stderr = stderr
         result.p_values = p_values
     return result, r2

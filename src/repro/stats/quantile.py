@@ -25,7 +25,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "quantile",
@@ -73,10 +72,12 @@ def order_statistic_ci(
     arr = np.sort(_validate(np.asarray(samples), q))
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    from scipy.stats import binom
+
     n = arr.size
     alpha = 1.0 - confidence
-    lo_rank = int(_scipy_stats.binom.ppf(alpha / 2.0, n, q))
-    hi_rank = int(_scipy_stats.binom.ppf(1.0 - alpha / 2.0, n, q))
+    lo_rank = int(binom.ppf(alpha / 2.0, n, q))
+    hi_rank = int(binom.ppf(1.0 - alpha / 2.0, n, q))
     lo_rank = max(0, min(lo_rank, n - 1))
     hi_rank = max(0, min(hi_rank, n - 1))
     return float(arr[lo_rank]), float(arr[hi_rank])
@@ -115,7 +116,9 @@ def quantile_density(samples: Sequence[float], q: float) -> float:
     sd = arr.std(ddof=1) if arr.size > 1 else 0.0
     if sd == 0.0:
         return math.inf
-    kde = _scipy_stats.gaussian_kde(arr)
+    from scipy.stats import gaussian_kde
+
+    kde = gaussian_kde(arr)
     return float(kde(point)[0])
 
 

@@ -37,8 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 __all__ = ["QuantRegResult", "fit_quantile_regression", "pinball_loss", "predict"]
 
@@ -157,6 +155,9 @@ def _fit_lp(
     X: np.ndarray, y: np.ndarray, tau: float, weights: np.ndarray
 ) -> np.ndarray:
     """Primal LP with HiGHS on sparse matrices."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n, p = X.shape
     c = np.concatenate([np.zeros(p), tau * weights, (1.0 - tau) * weights])
     eye = sparse.identity(n, format="csc")
